@@ -22,7 +22,9 @@ from .circuits import (
     QUBIT_PLUS,
     QUBIT_R,
     QubitState,
+    SimulatedFigures,
     cnot,
+    gate_figures,
     ideal_oracle,
     simulated_efficiency,
     simulated_fidelity,

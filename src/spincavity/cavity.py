@@ -15,7 +15,8 @@ which is fixed at one; this matches the axes used everywhere downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .hilbert import PhotonLabel, Polarization, Propagation, SpinBasis, StateError
 
@@ -35,6 +36,14 @@ class InvalidCoefficientError(StateError):
     """A scattering coefficient magnitude exceeds one."""
 
 
+def require_finite(params) -> None:
+    """Raise ValueError naming the first field of a parameter dataclass that is NaN or infinite."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Physical rates and detunings, all in units of the cavity decay rate.
@@ -52,6 +61,13 @@ class CavityParams:
     delta_x: float = 0.0
 
     def __post_init__(self) -> None:
+        # Every sweep point builds a CavityParams, so one test on the sum comes
+        # first: any NaN or infinite field makes it non-finite. Fields are
+        # checked one by one only then (a sum that merely overflows passes).
+        if not math.isfinite(
+            self.g + self.kappa_s + self.gamma + self.kappa + self.delta_c + self.delta_x
+        ):
+            require_finite(self)
         if self.g < 0 or self.kappa_s < 0 or self.gamma < 0:
             raise ValueError("rates g, kappa_s, gamma must be non-negative")
         if self.kappa <= 0:
@@ -156,6 +172,15 @@ def ideal_scatter() -> ScatterTable:
     return table
 
 
+def checked_magnitudes(coeffs: ScatterCoeffs) -> tuple[float, float, float, float]:
+    """(|t|, |r|, |t0|, |r0|), each checked to be a number no larger than one."""
+    magnitudes = coeffs.magnitudes
+    for name, mag in zip(("t", "r", "t0", "r0"), magnitudes):
+        if not mag <= 1.0 + 1e-12:
+            raise InvalidCoefficientError(f"|{name}| = {mag} exceeds 1")
+    return magnitudes
+
+
 def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
     """Lossy scattering rules built from coefficient magnitudes.
 
@@ -165,11 +190,7 @@ def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
     :func:`ideal_scatter`; otherwise the map contracts the norm, the deficit
     being the photon lost to side leakage.
     """
-    at, ar, at0, ar0 = coeffs.magnitudes
-    for name, mag in (("t", at), ("r", ar), ("t0", at0), ("r0", ar0)):
-        if mag > 1.0 + 1e-12:
-            raise InvalidCoefficientError(f"|{name}| = {mag} exceeds 1")
-
+    at, ar, at0, ar0 = checked_magnitudes(coeffs)
     table: ScatterTable = {}
     for (pol, prop), spin in _ALL_KEYS:
         if _couples(pol, prop, spin):

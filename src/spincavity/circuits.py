@@ -25,15 +25,21 @@ that ever leaves the circuit is the left-circular residue of the Toffoli's
 final pass, which the last merger drops into the loss sink. Everything else
 shows up either as norm lost inside the cavity (efficiency) or as bit-flip
 amplitude riding along to the output (fidelity).
+
+Each gate is written once, as a sequence of steps. The dict engine
+interprets it for single runs, and also compiles it into dense matrices
+for :func:`gate_figures`, which evaluates fidelities and survival over
+many cavity parameters without rerunning the circuit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from .cavity import (
     CavityParams,
     ScatterCoeffs,
     ScatterTable,
+    checked_magnitudes,
     coefficients,
     ideal_scatter,
     realistic_scatter,
@@ -58,7 +65,11 @@ from .elements import (
     switch_route,
 )
 from .hilbert import (
+    MIN_BRANCH_WEIGHT,
+    NORM_EPS,
+    PRUNE_EPS,
     BasisKet,
+    DegenerateStateError,
     PhotonLabel,
     PhotonSpinSite,
     Polarization,
@@ -66,8 +77,9 @@ from .hilbert import (
     SpinBasis,
     StateError,
     StateVector,
+    StructureError,
     apply_sited_map,
-    fidelity,
+    inner_product,
     measure_spin,
 )
 
@@ -341,23 +353,29 @@ def _with_spin(state: StateVector, spin: SpinBasis) -> StateVector:
     )
 
 
-def _cavity_pass(
-    state: StateVector,
-    photon: int,
-    table: ScatterTable,
-    in_modes: frozenset[int] | set[int],
-    out_down: int,
-    out_up: int,
-) -> StateVector:
+class CavityPass(NamedTuple):
+    """One photon's wrapped encounter with the cavity: the only parameter-dependent step.
+
+    The addressed photon scatters if it sits in one of ``in_modes``.
+    Whatever leaves heading down lands on ``out_down``, whatever leaves
+    heading up on ``out_up``.
+    """
+
+    photon: int
+    in_modes: frozenset[int]
+    out_down: int
+    out_up: int
+
+
+def _cavity_pass(state: StateVector, step: CavityPass, table: ScatterTable) -> StateVector:
     """Scatter the addressed photon if it sits at a cavity entry.
 
-    Output amplitudes are re-homed by exit side: whatever leaves heading
-    down lands on ``out_down``, whatever leaves heading up on ``out_up``.
     When both exits collect into one path the photon travels a single
     physical beam afterwards, so the direction label is normalized there;
     keeping the stale exit direction would stop later wave plates from
     interfering amplitudes that share a beam.
     """
+    in_modes, out_down, out_up = step.in_modes, step.out_down, step.out_up
     merged = out_down == out_up
 
     def joint(label_spin):
@@ -371,25 +389,131 @@ def _cavity_pass(
             out.append(((PhotonLabel(pol, direction, mode), new_spin), amp))
         return out
 
-    return apply_sited_map(state, PhotonSpinSite(photon), joint)
+    return apply_sited_map(state, PhotonSpinSite(step.photon), joint)
 
 
-def _control_stage(state: StateVector, photon: int, table: ScatterTable, record) -> StateVector:
+# A gate is one sequence of steps. A step is a trace mark (a string: the
+# current state is recorded under that name), a CavityPass, or a
+# parameter-free element ``state -> state``. Elements are lambdas so that
+# each run looks the element function up by name, and a wrapper installed on
+# this module's attribute (a profiler, say) sees the gates' calls.
+
+
+def _control_stage(split_mark: str | None = None, scattered_mark: str | None = None) -> tuple:
     """Shared control stage: split, wrapped cavity pass between Hadamard pairs, recombine."""
-    state = pbs(state, photon, _STAGE_SPLIT)
-    record("split", state)
-    state = hadamard_p(state, photon, modes={C_STAGE_WRAP})
-    state = hadamard_e(state)
-    state = pbs(state, photon, _STAGE_PORT_ROUTER)
-    state = _cavity_pass(
-        state, photon, table, {C_STAGE_WRAP}, out_down=C_STAGE_OUT_R, out_up=C_STAGE_OUT_L
+    steps = (
+        lambda s: pbs(s, 0, _STAGE_SPLIT),
+        split_mark,
+        lambda s: hadamard_p(s, 0, modes={C_STAGE_WRAP}),
+        lambda s: hadamard_e(s),
+        lambda s: pbs(s, 0, _STAGE_PORT_ROUTER),
+        CavityPass(0, frozenset({C_STAGE_WRAP}), C_STAGE_OUT_R, C_STAGE_OUT_L),
+        scattered_mark,
+        lambda s: pbs(s, 0, _STAGE_MERGE),
+        lambda s: hadamard_p(s, 0, modes={C_STAGE_MERGED}),
+        lambda s: hadamard_e(s),
+        lambda s: pbs(s, 0, _STAGE_RECOMBINE),
     )
-    record("scattered", state)
-    state = pbs(state, photon, _STAGE_MERGE)
-    state = hadamard_p(state, photon, modes={C_STAGE_MERGED})
-    state = hadamard_e(state)
-    state = pbs(state, photon, _STAGE_RECOMBINE)
-    return state
+    return tuple(step for step in steps if step is not None)
+
+
+class _GateProgram(NamedTuple):
+    """One gate: input ports, spin preparation, steps, and feed-forward rule.
+
+    The steps end on the joint state just before the spin readout.
+    """
+
+    name: str
+    in_modes: tuple[int, ...]
+    spin: SpinBasis
+    steps: tuple
+    feed_forward: Mapping
+
+
+_TOF_RETURN = frozenset({TOF_RETURN_TOP, TOF_RETURN_BOTTOM})
+
+_PROGRAMS = {
+    Gate.CNOT: _GateProgram(
+        "CNOT",
+        (C_STAGE_IN, CNOT_T_IN),
+        SpinBasis.DOWN,
+        (
+            *_control_stage("omega_1", "omega_2"),
+            "omega_3",
+            lambda s: pbs(s, 1, _CNOT_TARGET_SPLIT),
+            CavityPass(1, frozenset({CNOT_T_TOP, CNOT_T_BOTTOM}), CNOT_T_OUT, CNOT_T_OUT),
+            "omega_4",
+            lambda s: hadamard_e(s),
+        ),
+        _CNOT_FEED_FORWARD,
+    ),
+    Gate.TOFFOLI: _GateProgram(
+        "Toffoli",
+        (C_STAGE_IN, TOF_C2_IN, TOF_T_IN),
+        SpinBasis.UP,
+        (
+            *_control_stage(),
+            "xi_1",
+            # First pass: only the right-circular component meets the cavity.
+            lambda s: pbs(s, 1, _TOF_C2_SPLIT),
+            CavityPass(1, frozenset({TOF_C2_TOP}), TOF_LOOP, TOF_LOOP),
+            "xi_2",
+            # Second pass, now through the wave plate and both cavity ports.
+            lambda s: switch_route(s, 1, S1_SCHEDULE, 0),
+            lambda s: hadamard_p(s, 1, modes={TOF_PLATE}),
+            lambda s: hadamard_e(s),
+            lambda s: pbs(s, 1, _TOF_REINJECT_FROM_PLATE),
+            CavityPass(1, _TOF_RETURN, TOF_LOOP, TOF_LOOP),
+            "xi_3",
+            lambda s: hadamard_e(s),
+            "xi_4",
+            # Park the control photon at the cavity entries while the target runs.
+            lambda s: switch_route(s, 1, S1_SCHEDULE, 1),
+            lambda s: pbs(s, 1, _TOF_REINJECT_FROM_PARK),
+            # Target: conditional flip via the phase-plate loop.
+            lambda s: pbs(s, 2, _TOF_T_SPLIT),
+            lambda s: phase_pi(s, 2, TOF_T_PLATE),
+            lambda s: pbs(s, 2, _TOF_T_ENTER_LOOP),
+            CavityPass(2, frozenset({TOF_T_TOP, TOF_T_BOTTOM}), TOF_T_BOTTOM, TOF_T_TOP),
+            lambda s: phase_pi(s, 2, TOF_T_BOTTOM),
+            lambda s: pbs(s, 2, _TOF_T_EXIT_LOOP),
+            lambda s: pbs(s, 2, _TOF_T_MERGE),
+            lambda s: hadamard_e(s),
+            # Third pass of the parked control photon.
+            CavityPass(1, _TOF_RETURN, TOF_LOOP, TOF_LOOP),
+            "xi_5",
+            # Fourth pass disentangles the control photon from the spin.
+            lambda s: switch_route(s, 1, S1_SCHEDULE, 2),
+            lambda s: hadamard_p(s, 1, modes={TOF_PLATE}),
+            lambda s: hadamard_e(s),
+            lambda s: pbs(s, 1, _TOF_REINJECT_FROM_PLATE),
+            CavityPass(1, _TOF_RETURN, TOF_FINAL, TOF_FINAL),
+            "xi_6",
+            lambda s: pbs(s, 1, _TOF_FINAL_MERGE),
+            "xi_7",
+            lambda s: hadamard_e(s),
+        ),
+        _TOF_FEED_FORWARD,
+    ),
+}
+
+_QUBIT_COUNT_WORDS = {2: "two", 3: "three"}
+
+
+def _apply(step, state: StateVector, table: ScatterTable | None) -> StateVector:
+    if isinstance(step, CavityPass):
+        return _cavity_pass(state, step, table)
+    return step(state)
+
+
+def _states(program: _GateProgram, inputs: Sequence[QubitState], table: ScatterTable):
+    """Interpret the program: yield ``(None, input)``, then each step with the state after it."""
+    state = _with_spin(_product_input(inputs, program.in_modes), program.spin)
+    yield None, state
+    for step in program.steps:
+        if not isinstance(step, str):
+            state = _apply(step, state, table)
+        yield step, state
 
 
 def _canonical_photonic(state: StateVector) -> StateVector:
@@ -416,122 +540,39 @@ def _finish(
     state: StateVector,
     ff_rule,
     trace: list[tuple[str, StateVector]],
-) -> tuple[GateResult, StateVector]:
-    state = hadamard_e(state)
+) -> GateResult:
     survival = state.norm_squared()
     branches = []
     for outcome, probability, post in measure_spin(state):
         post = feed_forward(post, outcome, ff_rule)
         branches.append(Branch(outcome, probability, _canonical_photonic(post)))
-    result = GateResult(tuple(branches), survival, tuple(trace))
-    return result, state
+    return GateResult(tuple(branches), survival, tuple(trace))
 
 
-def _run_cnot(
-    control: QubitState,
-    target: QubitState,
+def _run(
+    gate: Gate,
+    inputs: Sequence[QubitState],
     mode: GateMode,
-    spin_init: SpinBasis,
+    spin_init: SpinBasis | None = None,
 ) -> tuple[GateResult, StateVector]:
-    if spin_init is not SpinBasis.DOWN:
-        raise PreconditionError("the CNOT needs the spin initialized down")
+    """Run ``gate`` on product ``inputs``: the result and the joint state before readout.
+
+    ``spin_init`` defaults to the spin preparation the gate needs.
+    """
+    program = _PROGRAMS[gate]
+    arity = len(program.in_modes)
+    if len(inputs) != arity:
+        raise StateError(f"{program.name} takes exactly {_QUBIT_COUNT_WORDS[arity]} qubits")
+    if spin_init is not None and spin_init is not program.spin:
+        raise PreconditionError(
+            f"the {program.name} needs the spin initialized {program.spin.name.lower()}"
+        )
     table = mode.scatter_table()
     trace: list[tuple[str, StateVector]] = []
-
-    state = _with_spin(
-        _product_input((control, target), (C_STAGE_IN, CNOT_T_IN)), SpinBasis.DOWN
-    )
-
-    def record(point: str, st: StateVector) -> None:
-        trace.append(({"split": "omega_1", "scattered": "omega_2"}[point], st))
-
-    state = _control_stage(state, 0, table, record)
-    trace.append(("omega_3", state))
-
-    state = pbs(state, 1, _CNOT_TARGET_SPLIT)
-    state = _cavity_pass(
-        state, 1, table, {CNOT_T_TOP, CNOT_T_BOTTOM}, out_down=CNOT_T_OUT, out_up=CNOT_T_OUT
-    )
-    trace.append(("omega_4", state))
-
-    return _finish(state, _CNOT_FEED_FORWARD, trace)
-
-
-def _run_toffoli(
-    control_1: QubitState,
-    control_2: QubitState,
-    target: QubitState,
-    mode: GateMode,
-    spin_init: SpinBasis,
-) -> tuple[GateResult, StateVector]:
-    if spin_init is not SpinBasis.UP:
-        raise PreconditionError("the Toffoli needs the spin initialized up")
-    table = mode.scatter_table()
-    trace: list[tuple[str, StateVector]] = []
-
-    state = _with_spin(
-        _product_input((control_1, control_2, target), (C_STAGE_IN, TOF_C2_IN, TOF_T_IN)),
-        SpinBasis.UP,
-    )
-
-    state = _control_stage(state, 0, table, lambda *_: None)
-    trace.append(("xi_1", state))
-
-    # First pass: only the right-circular component meets the cavity.
-    state = pbs(state, 1, _TOF_C2_SPLIT)
-    state = _cavity_pass(state, 1, table, {TOF_C2_TOP}, out_down=TOF_LOOP, out_up=TOF_LOOP)
-    trace.append(("xi_2", state))
-
-    # Second pass, now through the wave plate and both cavity ports.
-    state = switch_route(state, 1, S1_SCHEDULE, 0)
-    state = hadamard_p(state, 1, modes={TOF_PLATE})
-    state = hadamard_e(state)
-    state = pbs(state, 1, _TOF_REINJECT_FROM_PLATE)
-    state = _cavity_pass(
-        state, 1, table, {TOF_RETURN_TOP, TOF_RETURN_BOTTOM}, out_down=TOF_LOOP, out_up=TOF_LOOP
-    )
-    trace.append(("xi_3", state))
-
-    state = hadamard_e(state)
-    trace.append(("xi_4", state))
-
-    # Park the control photon at the cavity entries while the target runs.
-    state = switch_route(state, 1, S1_SCHEDULE, 1)
-    state = pbs(state, 1, _TOF_REINJECT_FROM_PARK)
-
-    # Target: conditional flip via the phase-plate loop.
-    state = pbs(state, 2, _TOF_T_SPLIT)
-    state = phase_pi(state, 2, TOF_T_PLATE)
-    state = pbs(state, 2, _TOF_T_ENTER_LOOP)
-    state = _cavity_pass(
-        state, 2, table, {TOF_T_TOP, TOF_T_BOTTOM}, out_down=TOF_T_BOTTOM, out_up=TOF_T_TOP
-    )
-    state = phase_pi(state, 2, TOF_T_BOTTOM)
-    state = pbs(state, 2, _TOF_T_EXIT_LOOP)
-    state = pbs(state, 2, _TOF_T_MERGE)
-
-    state = hadamard_e(state)
-
-    # Third pass of the parked control photon.
-    state = _cavity_pass(
-        state, 1, table, {TOF_RETURN_TOP, TOF_RETURN_BOTTOM}, out_down=TOF_LOOP, out_up=TOF_LOOP
-    )
-    trace.append(("xi_5", state))
-
-    # Fourth pass disentangles the control photon from the spin.
-    state = switch_route(state, 1, S1_SCHEDULE, 2)
-    state = hadamard_p(state, 1, modes={TOF_PLATE})
-    state = hadamard_e(state)
-    state = pbs(state, 1, _TOF_REINJECT_FROM_PLATE)
-    state = _cavity_pass(
-        state, 1, table, {TOF_RETURN_TOP, TOF_RETURN_BOTTOM}, out_down=TOF_FINAL, out_up=TOF_FINAL
-    )
-    trace.append(("xi_6", state))
-
-    state = pbs(state, 1, _TOF_FINAL_MERGE)
-    trace.append(("xi_7", state))
-
-    return _finish(state, _TOF_FEED_FORWARD, trace)
+    for step, state in _states(program, inputs, table):
+        if isinstance(step, str):
+            trace.append((step, state))
+    return _finish(state, program.feed_forward, trace), state
 
 
 def cnot(
@@ -541,7 +582,7 @@ def cnot(
     spin_init: SpinBasis = SpinBasis.DOWN,
 ) -> GateResult:
     """Run the two-photon CNOT; flips the target when the control is left-circular."""
-    result, _ = _run_cnot(control, target, mode, spin_init)
+    result, _ = _run(Gate.CNOT, (control, target), mode, spin_init)
     return result
 
 
@@ -553,18 +594,8 @@ def toffoli(
     spin_init: SpinBasis = SpinBasis.UP,
 ) -> GateResult:
     """Run the three-photon Toffoli; flips the target when both controls are left-circular."""
-    result, _ = _run_toffoli(control_1, control_2, target, mode, spin_init)
+    result, _ = _run(Gate.TOFFOLI, (control_1, control_2, target), mode, spin_init)
     return result
-
-
-def _run(gate: Gate, inputs: Sequence[QubitState], mode: GateMode):
-    if gate is Gate.CNOT:
-        if len(inputs) != 2:
-            raise StateError("CNOT takes exactly two qubits")
-        return _run_cnot(inputs[0], inputs[1], mode, SpinBasis.DOWN)
-    if len(inputs) != 3:
-        raise StateError("Toffoli takes exactly three qubits")
-    return _run_toffoli(inputs[0], inputs[1], inputs[2], mode, SpinBasis.UP)
 
 
 def ideal_oracle(gate: Gate) -> np.ndarray:
@@ -626,33 +657,232 @@ def input_vector(inputs: Sequence[QubitState]) -> np.ndarray:
 FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")
 
 
+# -- compiled evaluation ------------------------------------------------------
+#
+# The circuit is linear and only the cavity passes depend on the parameters:
+# a pass is 1*B + |t|*A_t + |r|*A_r + |t0|*A_t0 + |r0|*A_r0 on a basis of at
+# most a few dozen kets. Each gate is therefore compiled once per input, with
+# the dict engine as the compiler, into dense matrices over the supports its
+# stages reach; a parameter point then costs a few small matrix products.
+
+#: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. All four
+#: values differ and |t| + |r|, |t0| + |r0| stay below one: on resonance both
+#: sums are one and some amplitudes cancel there, so supports recorded at a
+#: resonant point would miss kets that other points reach. The second set
+#: guards the first against an accidental cancellation.
+_GENERIC_POINTS = (
+    ScatterCoeffs(t=0.21, r=0.67, t0=0.58, r0=0.29),
+    ScatterCoeffs(t=0.37, r=0.44, t0=0.19, r0=0.73),
+)
+
+#: Scatter tables isolating the parts of a cavity pass: the bypass (all
+#: magnitudes zero), then one unit magnitude each, in ``magnitudes`` order.
+#: A unit table still carries the bypass, which is subtracted out.
+_PART_TABLES = tuple(
+    realistic_scatter(ScatterCoeffs(*unit))
+    for unit in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+)
+
+
+class _CompiledGate(NamedTuple):
+    """One gate on fixed inputs as dense matrices over its recorded supports.
+
+    Each cavity pass is five matrices, the bypass and its four
+    unit-magnitude parts, with the fixed elements since the previous pass
+    folded in. ``parts`` holds every pass's five matrices flattened side by
+    side, so one product with the weights (1, |t|, |r|, |t0|, |r0|) yields
+    all pass matrices of a point; ``layout`` gives each pass's slice and
+    shape. ``tail`` holds the fixed elements after the last pass.
+    ``outcome_masks`` selects each spin outcome's kets at the readout; rows
+    of ``overlaps`` map the pre-readout amplitudes to the overlap of the up
+    and the down branch, after feed-forward, with the ideal output, and to
+    the overlap with the ideal pre-readout state.
+    """
+
+    initial: np.ndarray
+    parts: np.ndarray
+    layout: tuple[tuple[int, int, tuple[int, int]], ...]
+    tail: np.ndarray
+    outcome_masks: np.ndarray
+    overlaps: np.ndarray
+
+    def final_state(self, magnitudes: Sequence[float]) -> np.ndarray:
+        """Pre-readout amplitudes at the given (|t|, |r|, |t0|, |r0|)."""
+        matrices = np.array((1.0, *magnitudes)) @ self.parts
+        state = self.initial
+        for start, stop, shape in self.layout:
+            state = matrices[start:stop].reshape(shape) @ state
+            norm_sq = float(np.vdot(state, state).real)
+            if norm_sq > 1.0 + NORM_EPS:
+                raise StructureError(f"squared norm {norm_sq} exceeds 1 + {NORM_EPS}")
+        return self.tail @ state
+
+
+def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
+    """Amplitudes over an indexed support; real when they all are, which keeps
+    the evaluation in real arithmetic for real inputs."""
+    vector = np.zeros(len(index), dtype=complex)
+    for ket, amp in state.items():
+        if ket not in index:
+            raise StructureError(f"ket {ket.token!r} lies outside the compiled support")
+        vector[index[ket]] = amp
+    return vector if vector.imag.any() else vector.real
+
+
+def _image_matrix(
+    step, kets: Sequence[BasisKet], index: dict[BasisKet, int], table: ScatterTable | None
+) -> np.ndarray:
+    """One step's matrix from single-ket images, restricted to the next support.
+
+    Image kets outside the support are dropped: in the gate's runs they
+    cancel by interference between kets, which one ket alone cannot show.
+    Every element and scatter amplitude is real, so the matrix is too.
+    """
+    matrix = np.zeros((len(index), len(kets)))
+    for column, ket in enumerate(kets):
+        for out, amp in _apply(step, StateVector({ket: 1.0}), table).items():
+            row = index.get(out)
+            if row is not None:
+                if amp.imag:
+                    raise StructureError(f"complex amplitude {amp} in a compiled step")
+                matrix[row, column] = amp.real
+    return matrix
+
+
+def _readout_row(
+    kets: Sequence[BasisKet], outcome: SpinBasis, rule, reference: StateVector
+) -> np.ndarray:
+    row = np.zeros(len(kets), dtype=complex)
+    for column, ket in enumerate(kets):
+        if ket.spin is outcome:
+            post = feed_forward(StateVector({ket.with_spin(None): 1.0}), outcome, rule)
+            row[column] = inner_product(_canonical_photonic(post), reference).conjugate()
+    return row
+
+
+@functools.lru_cache(maxsize=64)
+def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
+    """Compile ``gate`` on ``inputs`` once, with the dict engine as the compiler.
+
+    Runs at the generic points record every stage's support and perform
+    every structural check (routing collisions, incomplete maps, switch
+    schedules, readout). The matrices must reproduce those runs to 1e-12.
+    """
+    program = _PROGRAMS[gate]
+    ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
+    generic_runs = [_states(program, inputs, realistic_scatter(c)) for c in _GENERIC_POINTS]
+    passes: list[np.ndarray] = []
+    fold = None  # fixed elements since the last pass
+    kets: list[BasisKet] = []
+    # The generic runs advance together, so one stage's support is held at a time.
+    for (step, state), (_, other) in zip(*generic_runs):
+        if isinstance(step, str):
+            continue
+        next_kets = sorted(set(state.kets()).union(other.kets()), key=BasisKet.sort_key)
+        index = {ket: i for i, ket in enumerate(next_kets)}
+        if step is None:
+            initial = _dense(state, index)
+        elif isinstance(step, CavityPass):
+            parts = np.stack([_image_matrix(step, kets, index, table) for table in _PART_TABLES])
+            parts[1:] -= parts[0]
+            passes.append(parts if fold is None else parts @ fold)
+            fold = None
+        else:
+            matrix = _image_matrix(step, kets, index, None)
+            fold = matrix if fold is None else matrix @ fold
+        kets = next_kets
+    finals = (state, other)
+    for final in finals:
+        _finish(final, program.feed_forward, [])
+
+    layout, start = [], 0
+    for parts in passes:
+        layout.append((start, start + parts[0].size, parts[0].shape))
+        start += parts[0].size
+    reference = ideal_result.branches[0].state
+    overlaps = np.array([
+        *(_readout_row(kets, o, program.feed_forward, reference) for o in SpinBasis),
+        _dense(ideal_pre, index).conj(),
+    ])
+    compiled = _CompiledGate(
+        initial=initial,
+        parts=np.concatenate([parts.reshape(len(parts), -1) for parts in passes], axis=1),
+        layout=tuple(layout),
+        tail=np.eye(len(kets)) if fold is None else fold,
+        outcome_masks=np.array([[ket.spin is o for ket in kets] for o in SpinBasis], dtype=float),
+        overlaps=overlaps if overlaps.imag.any() else overlaps.real,
+    )
+    for coeffs, final in zip(_GENERIC_POINTS, finals):
+        error = np.abs(compiled.final_state(coeffs.magnitudes) - _dense(final, index))
+        if error.max() > 1e-12:
+            raise StructureError(f"compiled {program.name} misses its generic run by {error.max()}")
+    return compiled
+
+
+class SimulatedFigures(NamedTuple):
+    """Fidelity and survival of one lossy gate run.
+
+    ``per_branch_averaged`` weighs each readout branch's overlap with the
+    ideal output by its branch probability; ``pre_measurement`` compares the
+    renormalized joint state just before readout with the ideal one. The two
+    answer different questions and neither is privileged here. ``survival``
+    is the squared norm reaching the readout.
+    """
+
+    per_branch_averaged: float
+    pre_measurement: float
+    survival: float
+
+    def fidelity(self, convention: str) -> float:
+        if convention not in FIDELITY_CONVENTIONS:
+            raise ValueError(f"unknown convention {convention!r}")
+        if convention == "pre-measurement":
+            return self.pre_measurement
+        return self.per_branch_averaged
+
+
+def gate_figures(
+    gate: Gate, inputs: Sequence[QubitState], coeffs: ScatterCoeffs
+) -> SimulatedFigures:
+    """Both fidelities and the survival of a lossy run, from one compiled evaluation.
+
+    Agrees with running :func:`cnot` or :func:`toffoli` in realistic mode
+    and comparing against the ideal run. The gate is compiled on first use
+    per input tuple; later calls cost a few small matrix products.
+    """
+    magnitudes = checked_magnitudes(coeffs)
+    compiled = _compile(gate, tuple(inputs))
+    state = compiled.final_state(magnitudes)
+    branch_weights = compiled.outcome_masks @ (np.abs(state) ** 2)
+    survival = float(branch_weights.sum())
+    if survival <= PRUNE_EPS ** 2:
+        raise DegenerateStateError("cannot measure a zero state")
+    up, down, pre = np.abs(compiled.overlaps @ state) ** 2
+    per_branch = sum(
+        overlap
+        for overlap, weight in zip((up, down), branch_weights)
+        if weight > MIN_BRANCH_WEIGHT
+    )
+    return SimulatedFigures(
+        per_branch_averaged=float(per_branch) / survival,
+        pre_measurement=float(pre) / survival,
+        survival=survival,
+    )
+
+
 def simulated_fidelity(
     gate: Gate,
     inputs: Sequence[QubitState],
     params: CavityParams,
     convention: str = "per-branch-averaged",
 ) -> float:
-    """Overlap of the lossy run with the ideal run.
+    """Overlap of the lossy run with the ideal run, in the given convention.
 
-    ``per-branch-averaged`` weighs each readout branch's overlap with the
-    ideal output by its branch probability; ``pre-measurement`` compares the
-    renormalized joint state just before readout. The two answer different
-    questions and neither is privileged here.
+    See :class:`SimulatedFigures` for the two conventions.
     """
-    if convention not in FIDELITY_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
-    real_result, real_pre = _run(gate, inputs, GateMode.realistic(params))
-    if convention == "pre-measurement":
-        return fidelity(real_pre.normalized(), ideal_pre)
-    reference = ideal_result.branches[0].state
-    return sum(
-        branch.probability * fidelity(branch.state, reference)
-        for branch in real_result.branches
-    )
+    return gate_figures(gate, inputs, coefficients(params)).fidelity(convention)
 
 
 def simulated_efficiency(gate: Gate, inputs: Sequence[QubitState], params: CavityParams) -> float:
     """Survival probability of the lossy run (input dependent)."""
-    result, _ = _run(gate, inputs, GateMode.realistic(params))
-    return result.survival
+    return gate_figures(gate, inputs, coefficients(params)).survival

@@ -12,10 +12,13 @@ with ``--config``; explicit flags override file entries.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .cavity import CavityParams, coefficients
 from .circuits import (
@@ -28,12 +31,11 @@ from .circuits import (
     QUBIT_R,
     QubitState,
     cnot,
+    gate_figures,
     ideal_oracle,
     input_vector,
     output_modes,
     polarization_vector,
-    simulated_efficiency,
-    simulated_fidelity,
     toffoli,
 )
 from .hilbert import StateError, serialize
@@ -140,36 +142,34 @@ def _fidelity_multiplier(spec: SweepSpec) -> float:
     return multiplier
 
 
+#: Simulation-backed columns: gate, its equal-superposition inputs, and the
+#: fidelity and efficiency column names.
+_SIM_COLUMNS = (
+    (Gate.CNOT, (QUBIT_PLUS,) * 2, "sim_f_cnot", "sim_eta_cnot"),
+    (Gate.TOFFOLI, (QUBIT_PLUS,) * 3, "sim_f_toffoli", "sim_eta_toffoli"),
+)
+
+
 def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     """Evaluate the requested outputs over the grid, rows in grid order."""
     spec.validate()
     fidelity_scale = _fidelity_multiplier(spec)
-    need_sim = [name for name in spec.outputs if name in SIM_OUTPUTS]
+    sim_gates = [column for column in _SIM_COLUMNS if {column[2], column[3]} & set(spec.outputs)]
     for g in spec.g_over_kappa.points():
         for ks in spec.kappa_s_over_kappa.points():
             params = CavityParams(g=g, kappa_s=ks, gamma=spec.gamma_over_kappa)
-            figures = closed_form_figures(coefficients(params))
+            coeffs = coefficients(params)
+            figures = closed_form_figures(coeffs)
             values: dict[str, float] = {
                 "f_cnot": figures.f_cnot,
                 "f_toffoli": figures.f_toffoli,
                 "eta_cnot": figures.eta_cnot,
                 "eta_toffoli": figures.eta_toffoli,
             }
-            if need_sim:
-                for gate, f_name, eta_name in (
-                    (Gate.CNOT, "sim_f_cnot", "sim_eta_cnot"),
-                    (Gate.TOFFOLI, "sim_f_toffoli", "sim_eta_toffoli"),
-                ):
-                    wanted = {f_name, eta_name} & set(need_sim)
-                    if not wanted:
-                        continue
-                    inputs = (QUBIT_PLUS,) * (2 if gate is Gate.CNOT else 3)
-                    if f_name in wanted:
-                        values[f_name] = simulated_fidelity(
-                            gate, inputs, params, spec.sim_convention
-                        )
-                    if eta_name in wanted:
-                        values[eta_name] = simulated_efficiency(gate, inputs, params)
+            for gate, inputs, f_name, eta_name in sim_gates:
+                simulated = gate_figures(gate, inputs, coeffs)
+                values[f_name] = simulated.fidelity(spec.sim_convention)
+                values[eta_name] = simulated.survival
             row_values = []
             for name in spec.outputs:
                 value = values[name]
@@ -295,22 +295,13 @@ def cmd_truth_table(args, out: TextIO) -> int:
         )
         all_pass = all_pass and ok
         in_names = " ".join("R" if b == 0 else "L" for b in bits)
-        out_index = int(np_argmax_abs(expected))
+        out_index = int(np.argmax(np.abs(expected)))
         out_names = " ".join(
             "R" if (out_index >> (n - 1 - i)) & 1 == 0 else "L" for i in range(n)
         )
         out.write(f"{in_names} -> {out_names} {'PASS' if ok else 'FAIL'}\n")
     out.write(("all PASS" if all_pass else "MISMATCH") + "\n")
     return 0 if all_pass else 2
-
-
-def np_argmax_abs(vector) -> int:
-    best, best_mag = 0, -1.0
-    for i, v in enumerate(vector):
-        mag = abs(v)
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
 
 
 def cmd_sweep(args, out: TextIO) -> int:
@@ -325,7 +316,7 @@ def cmd_sweep(args, out: TextIO) -> int:
         decohere=decohere,
         decoherence=DecoherenceParams(t2e=args.t2e, dt=args.dt, tau=args.tau, t2=args.t2),
     )
-    rows = run_sweep(spec)
+    rows = list(run_sweep(spec))  # every row before any output
     if args.format == "csv":
         write_csv(spec, rows, out)
     else:
@@ -470,14 +461,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = _expand_config(argv)
         args = build_parser().parse_args(argv)
         out_path = getattr(args, "out", None)
-        if out_path:
-            try:
-                handle = open(out_path, "w", encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
-            with handle:
-                return _COMMANDS[args.command](args, handle)
-        return _COMMANDS[args.command](args, sys.stdout)
+        if not out_path:
+            return _COMMANDS[args.command](args, sys.stdout)
+        # The file is opened only once the command has succeeded, so a
+        # failed run neither creates nor truncates it.
+        buffer = io.StringIO()
+        code = _COMMANDS[args.command](args, buffer)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(buffer.getvalue())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
+        return code
     except (ConfigError, ValueError) as exc:
         # ValueError here means flag-derived parameters failed validation
         # (negative rates, non-positive time scales, and the like).

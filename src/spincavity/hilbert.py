@@ -23,6 +23,8 @@ from typing import Callable, Mapping, Sequence, Union
 
 PRUNE_EPS = 1e-12
 NORM_EPS = 1e-9
+#: Readout branches with squared norm at or below this carry no outcome.
+MIN_BRANCH_WEIGHT = 1e-24
 
 
 class StateError(Exception):
@@ -413,7 +415,7 @@ def measure_spin(state: StateVector) -> list[tuple[SpinBasis, float, StateVector
             if k.spin is outcome
         }
         branch_norm_sq = sum(abs(v) ** 2 for v in picked.values())
-        if branch_norm_sq <= 1e-24:
+        if branch_norm_sq <= MIN_BRANCH_WEIGHT:
             continue
         scale = 1.0 / math.sqrt(branch_norm_sq)
         post = StateVector(

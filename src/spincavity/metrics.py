@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import ScatterCoeffs
+from .cavity import ScatterCoeffs, require_finite
 
 #: Documented operating constants for the decoherence report, in nanoseconds.
 #: Spin coherence of a few microseconds is routinely held with spin-echo
@@ -28,10 +28,6 @@ SPIN_COHERENCE_NS = 3000.0
 PHOTON_INTERVAL_NS = 4.5
 CAVITY_LIFETIME_NS = 10.0
 TRION_COHERENCE_NS = 100.0
-
-#: Critical photon number of the operating cavity, kept as a documented
-#: constant; the timing analysis behind it is out of scope here.
-CRITICAL_PHOTON_NUMBER = 2e-3
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,7 @@ class DecoherenceParams:
     t2: float = TRION_COHERENCE_NS
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if min(self.t2e, self.tau, self.t2) <= 0 or self.dt < 0:
             raise ValueError("time scales must be positive (dt may be zero)")
 

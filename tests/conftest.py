@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random states, golden-file parsing and exact closed forms."""
+"""Shared helpers: seeded random states, golden-file parsing, exact closed forms and
+dict-engine reference figures."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spincavity.circuits import QubitState
+from spincavity.circuits import GateMode, QubitState, _run
 from spincavity.hilbert import (
     BasisKet,
     PhotonLabel,
@@ -18,6 +19,7 @@ from spincavity.hilbert import (
     SpinBasis,
     StateVector,
     deserialize,
+    fidelity,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -92,6 +94,30 @@ def exact_figures(at, ar, at0, ar0) -> dict[str, Fraction]:
         "eta_cnot": (Fraction(1, 2) + Fraction(5, 4) * zeta) / 3,
         "eta_toffoli": (1 + Fraction(5, 4) * zeta + zeta ** 4 / 32) / 4,
     }
+
+
+def dict_fidelity(gate, inputs, mode: GateMode, convention: str = "per-branch-averaged") -> float:
+    """Lossy-vs-ideal fidelity straight from dict-engine gate runs.
+
+    The reference for the compiled evaluation: ``per-branch-averaged`` weighs
+    each readout branch's overlap with the ideal output by its probability,
+    ``pre-measurement`` compares the renormalized joint states before readout.
+    """
+    ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
+    real_result, real_pre = _run(gate, inputs, mode)
+    if convention == "pre-measurement":
+        return fidelity(real_pre.normalized(), ideal_pre)
+    reference = ideal_result.branches[0].state
+    return sum(
+        branch.probability * fidelity(branch.state, reference)
+        for branch in real_result.branches
+    )
+
+
+def dict_efficiency(gate, inputs, mode: GateMode) -> float:
+    """Survival of a dict-engine gate run: the compiled evaluation's reference."""
+    result, _ = _run(gate, inputs, mode)
+    return result.survival
 
 
 def parse_golden(name: str) -> dict[str, StateVector]:

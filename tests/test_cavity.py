@@ -119,6 +119,13 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             CavityParams(g=1.0, kappa=0.0)
 
+    @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "kappa", "delta_c", "delta_x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        fields = {"g": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CavityParams(**fields)
+
 
 def all_photon_spin_inputs():
     return [

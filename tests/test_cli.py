@@ -39,6 +39,13 @@ class TestCoeffs:
         assert abs(lines["t0"][0] - (-0.8)) < 1e-15
         assert abs(lines["r0"][0] - 0.2) < 1e-15
 
+    @pytest.mark.parametrize("flag", ["--g", "--gamma", "--delta-x"])
+    def test_non_finite_parameter_rejected(self, capsys, flag):
+        code, out, err = run_cli(capsys, "coeffs", flag, "nan")
+        assert code == 1
+        assert out == ""
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
+
     def test_detuned_coefficients_are_complex(self, capsys):
         code, out, _ = run_cli(
             capsys, "coeffs", "--g", "1.0", "--delta-c", "0.5", "--delta-x", "0.2"
@@ -110,6 +117,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "coeffs", "--g", "-1")
         assert code == 1
         assert "error" in err
+
+    def test_non_finite_rate_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "cnot", "--control", "+", "--target", "R",
+            "--mode", "realistic", "--kappa-s", "nan",
+        )
+        assert code == 1
+        assert out == ""
+        assert "kappa_s must be finite" in err
 
     def test_toffoli_trace_blocks(self, capsys):
         code, out, _ = run_cli(
@@ -242,6 +259,30 @@ class TestSweep:
         assert code == 2
         assert "invariant" in err
 
+    def test_singular_parameters_write_nothing(self, capsys, tmp_path):
+        args = ("sweep", "--g-min", "0", "--g-max", "1", "--g-steps", "2", "--gamma", "0")
+        code, out, _ = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, *args, "--out", str(path))
+        assert code == 2
+        assert not path.exists()
+        path.write_text("kept\n")
+        code, _, _ = run_cli(capsys, *args, "--out", str(path))
+        assert code == 2
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("outputs", ["f_cnot", "f_cnot,sim_f_cnot,sim_eta_toffoli"])
+    def test_non_finite_gamma_rejected(self, capsys, tmp_path, outputs):
+        path = tmp_path / "sweep.csv"
+        base = ("sweep", "--g-steps", "2", "--ks-steps", "2", "--gamma", "nan", "--outputs", outputs)
+        code, out, err = run_cli(capsys, *base)
+        assert (code, out) == (1, "")
+        assert "gamma must be finite" in err
+        code, _, _ = run_cli(capsys, *base, "--out", str(path))
+        assert code == 1
+        assert not path.exists()
+
     def test_simulation_outputs(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -327,6 +368,11 @@ class TestDecoherenceReport:
         assert "trion_density_matrix t=0" in out
         assert "trion_density_matrix t=tau" in out
         assert "trion_density_matrix t=t2" in out
+
+    def test_non_finite_time_scale_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "decoherence", "--t2e", "inf")
+        assert (code, out) == (1, "")
+        assert "t2e must be finite" in err
 
     def test_zero_interval(self, capsys):
         _, out, _ = run_cli(capsys, "decoherence", "--dt", "0")

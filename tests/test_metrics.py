@@ -112,6 +112,12 @@ class TestClosedForms:
 
 
 class TestSpinDecoherence:
+    @pytest.mark.parametrize("name", ["t2e", "dt", "tau", "t2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_scales_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            DecoherenceParams(**{name: value})
+
     def test_no_interval(self):
         assert spin_decoherence_factor(DecoherenceParams(dt=0.0)) == 1.0
 
