@@ -34,6 +34,7 @@ many cavity parameters without rerunning the circuit.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -287,6 +288,8 @@ class QubitState:
     beta: complex
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError(f"qubit amplitudes ({self.alpha}, {self.beta}) must be finite")
         weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(weight - 1.0) > 1e-9:
             raise ValueError(f"qubit weight {weight} is not 1 within 1e-9")
@@ -778,7 +781,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     for (step, state), (_, other) in zip(*generic_runs):
         if isinstance(step, str):
             continue
-        next_kets = sorted(set(state.kets()).union(other.kets()), key=BasisKet.sort_key)
+        next_kets = sorted(set(state.kets()).union(other.kets()))
         index = {ket: i for i, ket in enumerate(next_kets)}
         if step is None:
             initial = _dense(state, index)

@@ -12,6 +12,7 @@ with ``--config``; explicit flags override file entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -367,7 +368,9 @@ def _add_decoherence_flags(parser) -> None:
     parser.add_argument("--t2", type=float, default=100.0, help="trion coherence time (ns)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="spincavity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -119,20 +119,6 @@ def pbs(state: StateVector, photon: int, rule: RoutingRule) -> StateVector:
     amplitudes that belong to different beams, and it is rejected.
     """
     produced: dict[PhotonLabel, PhotonLabel] = {}
-    for ket, _ in state.items():
-        label = ket.photons[photon]
-        if label.mode not in rule.input_modes:
-            continue
-        target = rule.target_for(label)
-        if target is None:
-            continue
-        mode, prop, _ = target
-        out = PhotonLabel(label.polarization, prop, mode)
-        if produced.setdefault(out, label) != label:
-            raise StateError(
-                f"{rule.name}: labels {produced[out].token!r} and {label.token!r} "
-                f"collapse onto {out.token!r}"
-            )
 
     def fn(label: PhotonLabel):
         if label.mode not in rule.input_modes:
@@ -141,7 +127,13 @@ def pbs(state: StateVector, photon: int, rule: RoutingRule) -> StateVector:
         if target is None:
             return ()
         mode, prop, phase = target
-        return ((PhotonLabel(label.polarization, prop, mode), phase),)
+        out = PhotonLabel(label.polarization, prop, mode)
+        if produced.setdefault(out, label) != label:
+            raise StateError(
+                f"{rule.name}: labels {produced[out].token!r} and {label.token!r} "
+                f"collapse onto {out.token!r}"
+            )
+        return ((out, phase),)
 
     return apply_sited_map(state, PhotonSite(photon), fn)
 
@@ -187,16 +179,6 @@ def phase_pi(state: StateVector, photon: int, mode: int) -> StateVector:
         return ((label, -1.0 if label.mode == mode else 1.0),)
 
     return apply_sited_map(state, PhotonSite(photon), fn)
-
-
-def delay_line(state: StateVector) -> StateVector:
-    """Optical delay: amplitudes are untouched, only arrival order changes.
-
-    Sequencing is already encoded in the order circuit steps are applied,
-    so this is the identity; it exists to make that modeling choice a
-    testable statement.
-    """
-    return state
 
 
 @dataclass(frozen=True)

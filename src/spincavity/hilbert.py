@@ -11,15 +11,17 @@ switches become label rewrites rather than index gymnastics.
 Everything here is immutable and pure: operations return new states, so
 independent states can be evaluated concurrently without locks. Amplitudes
 with magnitude below ``PRUNE_EPS`` are dropped on construction to keep
-states free of numerical dust.
+states free of numerical dust; a NaN amplitude is an error, not dust.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 PRUNE_EPS = 1e-12
 NORM_EPS = 1e-9
@@ -93,17 +95,25 @@ _PROP_TOKENS = {p.token: p for p in Propagation}
 _SPIN_TOKENS = {s.token: s for s in SpinBasis}
 
 
-@dataclass(frozen=True, order=True)
-class PhotonLabel:
-    """One photon's labels: polarization, propagation direction, spatial mode."""
-
+class _PhotonFields(NamedTuple):
     polarization: Polarization
     propagation: Propagation
     mode: int
 
-    def __post_init__(self) -> None:
-        if self.mode < 0:
-            raise StructureError(f"mode index must be non-negative, got {self.mode}")
+
+class PhotonLabel(_PhotonFields):
+    """One photon's labels: polarization, propagation direction, spatial mode.
+
+    Labels and kets are tuples, so hashing, equality and ordering run in C;
+    their natural tuple order is the :meth:`BasisKet.sort_key` order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, polarization: Polarization, propagation: Propagation, mode: int):
+        if mode < 0:
+            raise StructureError(f"mode index must be non-negative, got {mode}")
+        return tuple.__new__(cls, (polarization, propagation, mode))
 
     def with_mode(self, mode: int) -> "PhotonLabel":
         return PhotonLabel(self.polarization, self.propagation, mode)
@@ -113,16 +123,22 @@ class PhotonLabel:
 
     @property
     def token(self) -> str:
-        return f"{self.polarization.token}/{self.propagation.token}/{self.mode}"
+        return _label_token(self)
 
 
-@dataclass(frozen=True)
-class BasisKet:
+@functools.lru_cache(maxsize=256)
+def _label_token(label: PhotonLabel) -> str:
+    return f"{label.polarization.token}/{label.propagation.token}/{label.mode}"
+
+
+class BasisKet(NamedTuple):
     """Product basis ket: an ordered photon tuple plus an optional spin.
 
     Spinless kets describe the photonic subsystem alone (for example after
     the spin has been measured out). The ordering used for serialization
-    and deterministic iteration is the natural tuple order of the labels.
+    and deterministic iteration is the natural tuple order of the labels;
+    one state's kets share one structure, so ``None`` is never compared
+    with a spin.
     """
 
     photons: tuple[PhotonLabel, ...]
@@ -144,9 +160,13 @@ class BasisKet:
 
     @property
     def token(self) -> str:
-        photon_part = ",".join(p.token for p in self.photons)
+        photon_part = ",".join(map(_label_token, self.photons))
         spin_part = "-" if self.spin is None else self.spin.token
         return f"{photon_part} | {spin_part}"
+
+
+#: Builds a ket from its (photons, spin) pair without a Python-level call.
+_ket = functools.partial(tuple.__new__, BasisKet)
 
 
 class StateVector:
@@ -172,6 +192,8 @@ class StateVector:
             value = complex(value)
             if abs(value) >= PRUNE_EPS:
                 amps[ket] = value
+            elif cmath.isnan(value):
+                raise StructureError(f"amplitude {value} of {ket.token!r} is not a number")
 
         if amps:
             first = next(iter(amps))
@@ -215,7 +237,7 @@ class StateVector:
 
     def items(self) -> list[tuple[BasisKet, complex]]:
         """Amplitudes in deterministic (ket-sorted) order."""
-        return sorted(self._amps.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._amps.items())
 
     def kets(self) -> list[BasisKet]:
         return [k for k, _ in self.items()]
@@ -253,24 +275,6 @@ class StateVector:
         terms = ", ".join(f"{k.token}: {v:.4g}" for k, v in self.items()[:6])
         more = "" if len(self._amps) <= 6 else f", ... ({len(self._amps)} kets)"
         return f"StateVector({terms}{more})"
-
-
-def combine(terms: Sequence[tuple[complex, StateVector]]) -> StateVector:
-    """Linear combination of same-structure states.
-
-    The result must respect the norm cap, so callers pick coefficients with
-    total weight at most one.
-    """
-    if not terms:
-        raise StructureError("combine needs at least one term")
-    first = terms[0][1]
-    amps: dict[BasisKet, complex] = {}
-    for coeff, state in terms:
-        if state.photon_count != first.photon_count or state.has_spin != first.has_spin:
-            raise StructureError("combine requires identical subsystem structure")
-        for ket, value in state.items():
-            amps[ket] = amps.get(ket, 0j) + coeff * value
-    return StateVector(amps, photon_count=first.photon_count, has_spin=first.has_spin)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -337,12 +341,6 @@ Site = Union[PhotonSite, SpinSite, PhotonSpinSite]
 LinearMap = Union[Callable[..., object], Mapping]
 
 
-def _lookup(linear_map: LinearMap, label):
-    if callable(linear_map):
-        return linear_map(label)
-    return linear_map.get(label)
-
-
 def apply_sited_map(state: StateVector, site: Site, linear_map: LinearMap) -> StateVector:
     """Apply a linear map to one subsystem.
 
@@ -350,47 +348,52 @@ def apply_sited_map(state: StateVector, site: Site, linear_map: LinearMap) -> St
     iterable of ``(output_label, amplitude)`` pairs; ``None`` means the map
     is undefined there and raises :class:`IncompleteMapError`. Linearity is
     automatic; the result is norm-preserving exactly when the map is unitary
-    on the reachable labels.
+    on the reachable labels. The map is consulted once per distinct label.
     """
-    if isinstance(site, (PhotonSite, PhotonSpinSite)):
-        if not 0 <= site.index < state.photon_count:
-            raise StructureError(f"photon index {site.index} out of range")
-    if isinstance(site, (SpinSite, PhotonSpinSite)) and not state.has_spin:
+    on_photon = isinstance(site, (PhotonSite, PhotonSpinSite))
+    on_spin = isinstance(site, (SpinSite, PhotonSpinSite))
+    index = site.index if on_photon else 0
+    if on_photon and not 0 <= index < state.photon_count:
+        raise StructureError(f"photon index {index} out of range")
+    if on_spin and not state.has_spin:
         raise StructureError("state has no spin subsystem")
 
+    lookup = linear_map if callable(linear_map) else linear_map.get
+    images_of: dict = {}
     amps: dict[BasisKet, complex] = {}
-
-    def add(ket: BasisKet, value: complex) -> None:
-        amps[ket] = amps.get(ket, 0j) + value
-
     for ket, amp in state.items():
-        if isinstance(site, PhotonSite):
-            label = ket.photons[site.index]
-            images = _lookup(linear_map, label)
-            if images is None:
-                raise IncompleteMapError(f"map undefined for photon label {label.token!r}")
-            for new_label, coeff in images:
-                add(ket.with_photon(site.index, new_label), amp * coeff)
-        elif isinstance(site, SpinSite):
-            images = _lookup(linear_map, ket.spin)
-            if images is None:
-                raise IncompleteMapError(f"map undefined for spin {ket.spin}")
-            for new_spin, coeff in images:
-                add(ket.with_spin(new_spin), amp * coeff)
+        photons, spin = ket
+        if not on_spin:
+            label = photons[index]
+        elif not on_photon:
+            label = spin
         else:
-            label = (ket.photons[site.index], ket.spin)
-            images = _lookup(linear_map, label)
+            label = (photons[index], spin)
+        images = images_of.get(label)
+        if images is None:
+            images = lookup(label)
             if images is None:
-                raise IncompleteMapError(
-                    f"map undefined for ({label[0].token!r}, {label[1]})"
-                )
-            for (new_label, new_spin), coeff in images:
-                add(
-                    ket.with_photon(site.index, new_label).with_spin(new_spin),
-                    amp * coeff,
-                )
+                raise IncompleteMapError(_undefined_message(site, label))
+            images = images_of[label] = tuple(images)
+        head, tail = photons[:index], photons[index + 1:]
+        for image, coeff in images:
+            if not on_spin:
+                out = _ket((head + (image,) + tail, spin))
+            elif not on_photon:
+                out = _ket((photons, image))
+            else:
+                out = _ket((head + (image[0],) + tail, image[1]))
+            amps[out] = amps.get(out, 0j) + amp * coeff
 
     return StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
+
+
+def _undefined_message(site: Site, label) -> str:
+    if isinstance(site, PhotonSite):
+        return f"map undefined for photon label {label.token!r}"
+    if isinstance(site, SpinSite):
+        return f"map undefined for spin {label}"
+    return f"map undefined for ({label[0].token!r}, {label[1]})"
 
 
 def measure_spin(state: StateVector) -> list[tuple[SpinBasis, float, StateVector]]:
@@ -456,10 +459,9 @@ def serialize(state: StateVector) -> str:
     Lines are ordered by the kets' natural order so output is reproducible
     byte for byte; amplitudes carry 17 significant digits.
     """
-    lines = []
-    for ket, amp in state.items():
-        lines.append(f"{ket.token} : {amp.real:.17g},{amp.imag:.17g}")
-    return "\n".join(lines)
+    return "\n".join([
+        f"{ket.token} : {amp.real:.17g},{amp.imag:.17g}" for ket, amp in state.items()
+    ])
 
 
 def deserialize(text: str) -> StateVector:

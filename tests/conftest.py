@@ -66,10 +66,14 @@ def random_state(
 
 
 def lincomb(pairs) -> StateVector:
-    """alpha*a + beta*b as a raw amplitude sum (caller keeps the norm under one)."""
+    """alpha*a + beta*b as a raw amplitude sum (caller keeps the norm under one).
+
+    The states must share one subsystem structure.
+    """
     amps = {}
     first = pairs[0][1]
     for coeff, state in pairs:
+        assert (state.photon_count, state.has_spin) == (first.photon_count, first.has_spin)
         for ket, value in state.items():
             amps[ket] = amps.get(ket, 0j) + coeff * value
     return StateVector(amps, photon_count=first.photon_count, has_spin=first.has_spin)

@@ -32,7 +32,7 @@ from spincavity.circuits import (
 )
 from spincavity.hilbert import SpinBasis, fidelity
 from spincavity.metrics import closed_form_figures
-from conftest import random_qubit
+from conftest import lincomb, random_qubit
 
 BASIS = (QUBIT_R, QUBIT_L)
 OPERATING_POINT = CavityParams(g=2.4, kappa_s=0.5, gamma=0.1)
@@ -253,7 +253,7 @@ class TestRealisticMode:
         # before readout for a superposed qubit equals the superposition of
         # the basis runs. This exercises every pass, switch epoch, and sink.
         from spincavity.circuits import _run
-        from spincavity.hilbert import allclose, combine
+        from spincavity.hilbert import allclose
 
         params = CavityParams(g=1.3, kappa_s=0.6, gamma=0.15)
         alpha = complex(0.6, 0.3)
@@ -268,7 +268,7 @@ class TestRealisticMode:
             _, pre_mixed = _run(Gate.TOFFOLI, inputs(mixed), GateMode.realistic(params))
             _, pre_r = _run(Gate.TOFFOLI, inputs(QUBIT_R), GateMode.realistic(params))
             _, pre_l = _run(Gate.TOFFOLI, inputs(QUBIT_L), GateMode.realistic(params))
-            assert allclose(pre_mixed, combine([(alpha, pre_r), (beta, pre_l)]), 1e-12)
+            assert allclose(pre_mixed, lincomb([(alpha, pre_r), (beta, pre_l)]), 1e-12)
 
     def test_survival_monotone_in_leakage(self):
         for inputs in (
@@ -303,6 +303,14 @@ class TestQubitState:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             QubitState(1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.6, complex(0.0, math.inf)),
+        (complex(math.nan, 0.6), 0.8),
+    ])
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            QubitState(alpha, beta)
 
     def test_complex_amplitudes_accepted(self):
         q = QubitState(0.6, complex(0.0, 0.8))

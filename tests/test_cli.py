@@ -113,6 +113,16 @@ class TestSimulate:
         assert code == 1
         assert "qubit" in err
 
+    @pytest.mark.parametrize("token", ["nan:1", "1:nan", "inf:1", "0.6:infj", "nan:nan"])
+    def test_non_finite_amplitudes_rejected(self, capsys, token):
+        code, out, err = run_cli(
+            capsys, "simulate", "cnot", "--control", token, "--target", "R"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"bad qubit token {token!r}" in err
+        assert "must be finite" in err
+
     def test_negative_rate_rejected(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--g", "-1")
         assert code == 1

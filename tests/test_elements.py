@@ -12,7 +12,6 @@ from spincavity.elements import (
     RoutingRule,
     ScheduleExhaustedError,
     SwitchSchedule,
-    delay_line,
     feed_forward,
     hadamard_e,
     hadamard_p,
@@ -230,7 +229,3 @@ class TestFeedForward:
         out = feed_forward(state, DOWN, self.RULE)
         assert abs(out.norm_squared() - state.norm_squared()) < 1e-12
 
-
-def test_delay_line_changes_nothing(rng):
-    state = random_state(rng, [[0, 3]])
-    assert delay_line(state) is state

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spincavity.cavity import ScatterCoeffs, ideal_scatter, realistic_scatter, scatter_as_sited_map
 from spincavity.elements import hadamard_p
@@ -245,6 +247,16 @@ class TestStateVector:
         with pytest.raises(StructureError):
             StateVector({ket(photon(R)): 1.5})
 
+    @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan), complex(math.nan, 0.5)])
+    def test_nan_amplitude_is_not_dust(self, value):
+        with pytest.raises(StructureError, match="not a number"):
+            StateVector({ket(photon(R)): value, ket(photon(L)): 0.6})
+
+    @pytest.mark.parametrize("value", [math.inf, complex(0.0, -math.inf), complex(math.inf, math.nan)])
+    def test_infinite_amplitude_rejected(self, value):
+        with pytest.raises(StructureError):
+            StateVector({ket(photon(R)): value})
+
     def test_mixed_structure_rejected(self):
         with pytest.raises(StructureError):
             StateVector({ket(photon(R)): 0.5, ket(photon(R), spin=UP): 0.5})
@@ -273,6 +285,36 @@ class TestSerialization:
     def test_spinless_round_trip(self):
         state = StateVector({ket(photon(R)): 0.6, ket(photon(L)): 0.8})
         assert allclose(deserialize(serialize(state)), state, 0)
+
+
+@st.composite
+def states(draw):
+    """Normalized states of random structure over up to 24 kets, modes 0-23."""
+    photon_count = draw(st.integers(0, 3))
+    spins = st.sampled_from(SpinBasis) if draw(st.booleans()) else st.none()
+    labels = st.builds(
+        PhotonLabel, st.sampled_from(Polarization), st.sampled_from(Propagation), st.integers(0, 23)
+    )
+    kets = st.builds(BasisKet, st.tuples(*[labels] * photon_count), spins)
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = draw(st.dictionaries(kets, st.builds(complex, parts, parts), min_size=1, max_size=24))
+    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+    assume(norm > 0.0)
+    return StateVector({k: v / norm for k, v in amps.items()})
+
+
+class TestOrderProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(states())
+    def test_items_follow_sort_key(self, state):
+        kets = [k for k, _ in state.items()]
+        assert kets == sorted(kets, key=BasisKet.sort_key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(states())
+    def test_serialization_is_a_fixed_point(self, state):
+        text = serialize(state)
+        assert serialize(deserialize(text)) == text
 
 
 class TestGlobalPhase:
