@@ -25,6 +25,7 @@ from .circuits import (
     SimulatedFigures,
     cnot,
     gate_figures,
+    gate_figures_many,
     ideal_oracle,
     simulated_efficiency,
     simulated_fidelity,

@@ -27,9 +27,10 @@ shows up either as norm lost inside the cavity (efficiency) or as bit-flip
 amplitude riding along to the output (fidelity).
 
 Each gate is written once, as a sequence of steps. The dict engine
-interprets it for single runs, and also compiles it into dense matrices
-for :func:`gate_figures`, which evaluates fidelities and survival over
-many cavity parameters without rerunning the circuit.
+interprets it for single runs, and also compiles it into polynomials in the
+coefficient magnitudes for :func:`gate_figures_many`, which evaluates
+fidelities and survival over batches of cavity parameters without rerunning
+the circuit.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 
 from .cavity import (
     CavityParams,
+    InvalidCoefficientError,
     ScatterCoeffs,
     ScatterTable,
     checked_magnitudes,
@@ -664,9 +666,11 @@ FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")
 #
 # The circuit is linear and only the cavity passes depend on the parameters:
 # a pass is 1*B + |t|*A_t + |r|*A_r + |t0|*A_t0 + |r0|*A_r0 on a basis of at
-# most a few dozen kets. Each gate is therefore compiled once per input, with
-# the dict engine as the compiler, into dense matrices over the supports its
-# stages reach; a parameter point then costs a few small matrix products.
+# most a few dozen kets. After k passes every amplitude is therefore a
+# polynomial of degree at most k in the four magnitudes. Each gate is
+# compiled once per input, with the dict engine as the compiler, into the
+# coefficients of those polynomials; a batch of parameter points then costs
+# one table of powers and one matrix product.
 
 #: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. All four
 #: values differ and |t| + |r|, |t0| + |r0| stay below one: on resonance both
@@ -678,6 +682,12 @@ _GENERIC_POINTS = (
     ScatterCoeffs(t=0.37, r=0.44, t0=0.19, r0=0.73),
 )
 
+#: Qubit amplitudes standing in for every superposed input qubit while the
+#: supports are recorded. A real input may carry an amplitude just above
+#: ``PRUNE_EPS`` that the generic runs would prune, and with it the kets it
+#: reaches; the generic stand-ins keep every component large.
+_GENERIC_QUBITS = (QubitState(0.6, 0.8), QubitState(0.8, 0.6), QubitState(0.28, 0.96))
+
 #: Scatter tables isolating the parts of a cavity pass: the bypass (all
 #: magnitudes zero), then one unit magnitude each, in ``magnitudes`` order.
 #: A unit table still carries the bypass, which is subtracted out.
@@ -687,38 +697,105 @@ _PART_TABLES = tuple(
 )
 
 
-class _CompiledGate(NamedTuple):
-    """One gate on fixed inputs as dense matrices over its recorded supports.
+class _Monomials(NamedTuple):
+    """Every monomial in (|t|, |r|, |t0|, |r0|) up to a degree.
 
-    Each cavity pass is five matrices, the bypass and its four
-    unit-magnitude parts, with the fixed elements since the previous pass
-    folded in. ``parts`` holds every pass's five matrices flattened side by
-    side, so one product with the weights (1, |t|, |r|, |t0|, |r0|) yields
-    all pass matrices of a point; ``layout`` gives each pass's slice and
-    shape. ``tail`` holds the fixed elements after the last pass.
-    ``outcome_masks`` selects each spin outcome's kets at the readout; rows
-    of ``overlaps`` map the pre-readout amplitudes to the overlap of the up
-    and the down branch, after feed-forward, with the ideal output, and to
-    the overlap with the ideal pre-readout state.
+    ``powers[v, m]`` is the row holding magnitude ``v`` to its power in
+    monomial ``m``, in a table of powers laid out exponent-major, so one
+    ``take`` and a product over the magnitudes give every monomial; the
+    constant monomial comes first. ``shifts[v]`` maps each monomial below
+    the top degree to its product with magnitude ``v``.
     """
 
-    initial: np.ndarray
-    parts: np.ndarray
-    layout: tuple[tuple[int, int, tuple[int, int]], ...]
-    tail: np.ndarray
-    outcome_masks: np.ndarray
-    overlaps: np.ndarray
+    degree: int
+    powers: np.ndarray
+    shifts: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def final_state(self, magnitudes: Sequence[float]) -> np.ndarray:
-        """Pre-readout amplitudes at the given (|t|, |r|, |t0|, |r0|)."""
-        matrices = np.array((1.0, *magnitudes)) @ self.parts
-        state = self.initial
-        for start, stop, shape in self.layout:
-            state = matrices[start:stop].reshape(shape) @ state
-            norm_sq = float(np.vdot(state, state).real)
-            if norm_sq > 1.0 + NORM_EPS:
+
+@functools.cache
+def _monomials(degree: int) -> _Monomials:
+    exponents = [
+        (a, b, c, d)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+        for c in range(degree + 1 - a - b)
+        for d in range(degree + 1 - a - b - c)
+    ]
+    position = {e: i for i, e in enumerate(exponents)}
+    lower = [e for e in exponents if sum(e) < degree]
+    shifts = tuple(
+        (
+            np.array([position[e] for e in lower], dtype=np.intp),
+            np.array([position[e[:v] + (e[v] + 1,) + e[v + 1:]] for e in lower], dtype=np.intp),
+        )
+        for v in range(4)
+    )
+    powers = np.array([[4 * e[v] + v for e in exponents] for v in range(4)], dtype=np.intp)
+    return _Monomials(degree, powers, shifts)
+
+
+def _propagate(initial: np.ndarray, passes, tail: np.ndarray | None, monomials: _Monomials):
+    """Polynomial coefficients of the state after every pass, then after the tail.
+
+    A state is a matrix with one row per ket and one column per monomial;
+    a pass's part for magnitude ``v`` multiplies by that magnitude, which
+    moves each column to the column of its product with it.
+    """
+    state = np.zeros((len(initial), monomials.powers.shape[1]), dtype=initial.dtype)
+    state[:, 0] = initial
+    states = []
+    for parts in passes:
+        new = parts[0] @ state
+        images = (parts[1:].reshape(-1, parts.shape[2]) @ state).reshape(4, parts.shape[1], -1)
+        for image, (lower, raised) in zip(images, monomials.shifts):
+            new[:, raised] += image[:, lower]
+        states.append(new)
+        state = new
+    states.append(state if tail is None else tail @ state)
+    return states
+
+
+class _CompiledGate(NamedTuple):
+    """One gate on fixed inputs as polynomials in the four magnitudes.
+
+    Row ``i`` of ``coeffs`` holds the coefficients of one amplitude over
+    ``monomials``. The rows are every pass's state in turn, then the
+    pre-readout state, then three overlaps: of the up and the down branch,
+    after feed-forward, with the ideal output, and of the pre-readout state
+    with the ideal one. ``totals`` sums squared moduli of those rows into
+    every pass's squared norm, each spin outcome's weight at the readout,
+    and the three squared overlaps.
+    """
+
+    coeffs: np.ndarray
+    monomials: _Monomials
+    totals: np.ndarray
+
+    def amplitudes(self, magnitudes: np.ndarray) -> np.ndarray:
+        """Every row's value at each column of ``magnitudes``, shape (4, points)."""
+        table = np.empty((self.monomials.degree + 1, *magnitudes.shape))
+        table[0] = 1.0
+        table[1:] = magnitudes
+        np.multiply.accumulate(table, axis=0, out=table)
+        terms = table.reshape(-1, magnitudes.shape[1]).take(self.monomials.powers, axis=0)
+        return self.coeffs @ terms.prod(axis=0)
+
+    def figures(self, magnitudes: np.ndarray) -> list[SimulatedFigures]:
+        """Figures at each column of ``magnitudes``, failing as the first bad point does."""
+        totals = self.totals @ (np.abs(self.amplitudes(magnitudes)) ** 2)
+        figures = []
+        for *pass_norms, up_weight, down_weight, up, down, pre in totals.T.tolist():
+            if max(pass_norms) > 1.0 + NORM_EPS:
+                norm_sq = next(n for n in pass_norms if n > 1.0 + NORM_EPS)
                 raise StructureError(f"squared norm {norm_sq} exceeds 1 + {NORM_EPS}")
-        return self.tail @ state
+            survival = up_weight + down_weight
+            if survival <= PRUNE_EPS ** 2:
+                raise DegenerateStateError("cannot measure a zero state")
+            per_branch = (up if up_weight > MIN_BRANCH_WEIGHT else 0.0) + (
+                down if down_weight > MIN_BRANCH_WEIGHT else 0.0
+            )
+            figures.append(SimulatedFigures(per_branch / survival, pre / survival, survival))
+        return figures
 
 
 def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
@@ -767,13 +844,19 @@ def _readout_row(
 def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     """Compile ``gate`` on ``inputs`` once, with the dict engine as the compiler.
 
-    Runs at the generic points record every stage's support and perform
-    every structural check (routing collisions, incomplete maps, switch
-    schedules, readout). The matrices must reproduce those runs to 1e-12.
+    Runs at the generic points, on inputs whose superposed qubits are
+    replaced by generic ones, record every stage's support and perform every
+    structural check (routing collisions, incomplete maps, switch schedules,
+    readout). The polynomials must reproduce those runs to 1e-12.
     """
     program = _PROGRAMS[gate]
     ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
-    generic_runs = [_states(program, inputs, realistic_scatter(c)) for c in _GENERIC_POINTS]
+    generic_inputs = tuple(
+        generic if q.alpha and q.beta else q for q, generic in zip(inputs, _GENERIC_QUBITS)
+    )
+    generic_runs = [
+        _states(program, generic_inputs, realistic_scatter(c)) for c in _GENERIC_POINTS
+    ]
     passes: list[np.ndarray] = []
     fold = None  # fixed elements since the last pass
     kets: list[BasisKet] = []
@@ -784,7 +867,8 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
         next_kets = sorted(set(state.kets()).union(other.kets()))
         index = {ket: i for i, ket in enumerate(next_kets)}
         if step is None:
-            initial = _dense(state, index)
+            initial = _dense(_with_spin(_product_input(inputs, program.in_modes), program.spin), index)
+            generic_initial = _dense(state, index)
         elif isinstance(step, CavityPass):
             parts = np.stack([_image_matrix(step, kets, index, table) for table in _PART_TABLES])
             parts[1:] -= parts[0]
@@ -798,25 +882,27 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     for final in finals:
         _finish(final, program.feed_forward, [])
 
-    layout, start = [], 0
-    for parts in passes:
-        layout.append((start, start + parts[0].size, parts[0].shape))
-        start += parts[0].size
+    monomials = _monomials(len(passes))
     reference = ideal_result.branches[0].state
     overlaps = np.array([
         *(_readout_row(kets, o, program.feed_forward, reference) for o in SpinBasis),
         _dense(ideal_pre, index).conj(),
     ])
-    compiled = _CompiledGate(
-        initial=initial,
-        parts=np.concatenate([parts.reshape(len(parts), -1) for parts in passes], axis=1),
-        layout=tuple(layout),
-        tail=np.eye(len(kets)) if fold is None else fold,
-        outcome_masks=np.array([[ket.spin is o for ket in kets] for o in SpinBasis], dtype=float),
-        overlaps=overlaps if overlaps.imag.any() else overlaps.real,
-    )
-    for coeffs, final in zip(_GENERIC_POINTS, finals):
-        error = np.abs(compiled.final_state(coeffs.magnitudes) - _dense(final, index))
+    states = _propagate(initial, passes, fold, monomials)
+    coeffs = np.concatenate([*states, (overlaps if overlaps.imag.any() else overlaps.real) @ states[-1]])
+    totals = np.zeros((len(passes) + 5, len(coeffs)))
+    start = 0
+    for row, pass_state in enumerate(states[:-1]):
+        totals[row, start:start + len(pass_state)] = 1.0
+        start += len(pass_state)
+    totals[-5:-3, start:start + len(kets)] = [[ket.spin is o for ket in kets] for o in SpinBasis]
+    totals[-3:, -3:] = np.eye(3)
+    compiled = _CompiledGate(coeffs=coeffs, monomials=monomials, totals=totals)
+    del states
+    check = compiled._replace(coeffs=_propagate(generic_initial, passes, fold, monomials)[-1])
+    pre_readout = check.amplitudes(np.array([c.magnitudes for c in _GENERIC_POINTS]).T)
+    for column, final in enumerate(finals):
+        error = np.abs(pre_readout[:, column] - _dense(final, index))
         if error.max() > 1e-12:
             raise StructureError(f"compiled {program.name} misses its generic run by {error.max()}")
     return compiled
@@ -844,6 +930,30 @@ class SimulatedFigures(NamedTuple):
         return self.per_branch_averaged
 
 
+def gate_figures_many(
+    gate: Gate, inputs: Sequence[QubitState], coeffs_seq: Sequence[ScatterCoeffs]
+) -> list[SimulatedFigures]:
+    """:func:`gate_figures` at every coefficient set, from one batched evaluation.
+
+    Fails as evaluating the points one by one would: with the error of the
+    first point that fails, whether its magnitudes are invalid, a pass gains
+    norm, or nothing reaches the readout.
+    """
+    magnitudes, invalid = [], None
+    for coeffs in coeffs_seq:
+        try:
+            magnitudes.append(checked_magnitudes(coeffs))
+        except InvalidCoefficientError as exc:
+            invalid = exc
+            break
+    figures = []
+    if magnitudes:
+        figures = _compile(gate, tuple(inputs)).figures(np.array(magnitudes).T)
+    if invalid is not None:
+        raise invalid
+    return figures
+
+
 def gate_figures(
     gate: Gate, inputs: Sequence[QubitState], coeffs: ScatterCoeffs
 ) -> SimulatedFigures:
@@ -851,26 +961,9 @@ def gate_figures(
 
     Agrees with running :func:`cnot` or :func:`toffoli` in realistic mode
     and comparing against the ideal run. The gate is compiled on first use
-    per input tuple; later calls cost a few small matrix products.
+    per input tuple; later calls evaluate its polynomials.
     """
-    magnitudes = checked_magnitudes(coeffs)
-    compiled = _compile(gate, tuple(inputs))
-    state = compiled.final_state(magnitudes)
-    branch_weights = compiled.outcome_masks @ (np.abs(state) ** 2)
-    survival = float(branch_weights.sum())
-    if survival <= PRUNE_EPS ** 2:
-        raise DegenerateStateError("cannot measure a zero state")
-    up, down, pre = np.abs(compiled.overlaps @ state) ** 2
-    per_branch = sum(
-        overlap
-        for overlap, weight in zip((up, down), branch_weights)
-        if weight > MIN_BRANCH_WEIGHT
-    )
-    return SimulatedFigures(
-        per_branch_averaged=float(per_branch) / survival,
-        pre_measurement=float(pre) / survival,
-        survival=survival,
-    )
+    return gate_figures_many(gate, inputs, (coeffs,))[0]
 
 
 def simulated_fidelity(

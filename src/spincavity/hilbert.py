@@ -118,9 +118,6 @@ class PhotonLabel(_PhotonFields):
     def with_mode(self, mode: int) -> "PhotonLabel":
         return PhotonLabel(self.polarization, self.propagation, mode)
 
-    def with_propagation(self, propagation: Propagation) -> "PhotonLabel":
-        return PhotonLabel(self.polarization, propagation, self.mode)
-
     @property
     def token(self) -> str:
         return _label_token(self)
@@ -150,10 +147,6 @@ class BasisKet(NamedTuple):
             tuple((int(p.polarization), int(p.propagation), p.mode) for p in self.photons),
             spin_key,
         )
-
-    def with_photon(self, index: int, label: PhotonLabel) -> "BasisKet":
-        photons = self.photons[:index] + (label,) + self.photons[index + 1:]
-        return BasisKet(photons, self.spin)
 
     def with_spin(self, spin: SpinBasis | None) -> "BasisKet":
         return BasisKet(self.photons, spin)

@@ -100,22 +100,29 @@ def exact_figures(at, ar, at0, ar0) -> dict[str, Fraction]:
     }
 
 
-def dict_fidelity(gate, inputs, mode: GateMode, convention: str = "per-branch-averaged") -> float:
-    """Lossy-vs-ideal fidelity straight from dict-engine gate runs.
+def dict_figures(gate, inputs, mode: GateMode, ideal=None) -> tuple[float, float, float]:
+    """Lossy-vs-ideal fidelities and survival straight from dict-engine gate runs.
 
     The reference for the compiled evaluation: ``per-branch-averaged`` weighs
     each readout branch's overlap with the ideal output by its probability,
     ``pre-measurement`` compares the renormalized joint states before readout.
+    Returns (per-branch-averaged, pre-measurement, survival). ``ideal`` is the
+    ideal ``_run`` of the same inputs, run here when not given.
     """
-    ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
+    ideal_result, ideal_pre = ideal or _run(gate, inputs, GateMode.ideal())
     real_result, real_pre = _run(gate, inputs, mode)
-    if convention == "pre-measurement":
-        return fidelity(real_pre.normalized(), ideal_pre)
     reference = ideal_result.branches[0].state
-    return sum(
+    per_branch = sum(
         branch.probability * fidelity(branch.state, reference)
         for branch in real_result.branches
     )
+    return per_branch, fidelity(real_pre.normalized(), ideal_pre), real_result.survival
+
+
+def dict_fidelity(gate, inputs, mode: GateMode, convention: str = "per-branch-averaged") -> float:
+    """One convention of :func:`dict_figures`."""
+    per_branch, pre_measurement, _ = dict_figures(gate, inputs, mode)
+    return pre_measurement if convention == "pre-measurement" else per_branch
 
 
 def dict_efficiency(gate, inputs, mode: GateMode) -> float:

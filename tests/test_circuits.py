@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincavity.cavity import CavityParams, ScatterCoeffs, coefficients
+from spincavity.cavity import CavityParams, ScatterCoeffs, coefficients, realistic_scatter
 from spincavity.circuits import (
+    _PROGRAMS,
     CNOT_OUTPUT_MODES,
     Gate,
     GateMode,
@@ -20,6 +23,7 @@ from spincavity.circuits import (
     QUBIT_R,
     QubitState,
     TOF_OUTPUT_MODES,
+    _states,
     cnot,
     ideal_oracle,
     input_vector,
@@ -297,6 +301,24 @@ class TestRealisticMode:
             golden = parse_golden(golden_name)
             for name, state in result.trace:
                 assert allclose(state, golden[name], 1e-12)
+
+
+contractive_coeffs = st.tuples(*[st.floats(0.0, 1.0)] * 4).map(
+    lambda u: ScatterCoeffs(t=u[0], r=(1.0 - u[0]) * u[1], t0=u[2], r0=(1.0 - u[2]) * u[3])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Gate)), st.randoms(use_true_random=False), contractive_coeffs)
+def test_norm_never_rises_from_step_to_step(gate, rand, coeffs):
+    # With |t| + |r| <= 1 and |t0| + |r0| <= 1 a cavity pass contracts, every
+    # other element is unitary and pruning only removes amplitude.
+    program = _PROGRAMS[gate]
+    inputs = [random_qubit(rand) for _ in program.in_modes]
+    norms = [state.norm_squared() for _, state in _states(program, inputs, realistic_scatter(coeffs))]
+    assert norms[0] == pytest.approx(1.0, abs=1e-12)
+    for before, after in zip(norms, norms[1:]):
+        assert after <= before + 1e-12
 
 
 class TestQubitState:

@@ -148,6 +148,26 @@ class TestSimulate:
         for index in range(1, 8):
             assert f"trace xi_{index}" in out
 
+    @pytest.mark.parametrize("flag", ["--control", "--control2", "--target"])
+    def test_dash_led_token_may_follow_its_flag(self, capsys, flag):
+        others = [
+            token
+            for other, qubit in (("--control", "+"), ("--control2", "L"), ("--target", "R"))
+            if other != flag
+            for token in (other, qubit)
+        ]
+        joined = run_cli(capsys, "simulate", "toffoli", *others, f"{flag}=-0.6j:0.8")
+        assert joined[0] == 0
+        assert run_cli(capsys, "simulate", "toffoli", *others, flag, "-0.6j:0.8") == joined
+
+    def test_dash_led_control_and_bare_minus(self, capsys):
+        joined = run_cli(capsys, "simulate", "cnot", "--control=-1:0", "--target", "R")
+        assert joined[0] == 0
+        assert run_cli(capsys, "simulate", "cnot", "--control", "-1:0", "--target", "R") == joined
+        minus = run_cli(capsys, "simulate", "cnot", "--control", "-", "--target", "R")
+        assert minus[0] == 0
+        assert run_cli(capsys, "simulate", "cnot", "--control", "minus", "--target", "R") == minus
+
     def test_explicit_amplitudes(self):
         q = parse_qubit("0.6:0.8j")
         assert abs(q.alpha - 0.6) < 1e-12

@@ -1,9 +1,11 @@
 """Compiled gate evaluation against the dict engine it is compiled from.
 
-``gate_figures`` evaluates each gate as dense matrices recorded once per
-input; the references in ``conftest`` run the dict engine gate by gate.
-The two must agree to 1e-12 on any input, any resonant cavity and any
-contractive set of coefficient magnitudes, and must fail the same way.
+``gate_figures`` and ``gate_figures_many`` evaluate each gate as
+polynomials in the coefficient magnitudes, recorded once per input; the
+references in ``conftest`` run the dict engine gate by gate. The two must
+agree to 1e-12 on any input, any resonant cavity and any contractive set of
+coefficient magnitudes, in batches as point by point, and must fail the
+same way.
 """
 
 from __future__ import annotations
@@ -16,9 +18,19 @@ from hypothesis import strategies as st
 
 from spincavity import cli
 from spincavity.cavity import CavityParams, InvalidCoefficientError, ScatterCoeffs, coefficients
-from spincavity.circuits import QUBIT_PLUS, QUBIT_R, Gate, GateMode, QubitState, _compile, gate_figures
+from spincavity.circuits import (
+    QUBIT_PLUS,
+    QUBIT_R,
+    Gate,
+    GateMode,
+    QubitState,
+    _compile,
+    _run,
+    gate_figures,
+    gate_figures_many,
+)
 from spincavity.hilbert import DegenerateStateError, StructureError
-from conftest import dict_efficiency, dict_fidelity
+from conftest import dict_efficiency, dict_fidelity, dict_figures
 
 TOL = 1e-12
 ARITY = {Gate.CNOT: 2, Gate.TOFFOLI: 3}
@@ -47,6 +59,9 @@ def contractive_coeffs(draw) -> ScatterCoeffs:
     t = draw(st.floats(0.0, 1.0))
     t0 = draw(st.floats(0.0, 1.0))
     return ScatterCoeffs(t=t, r=draw(st.floats(0.0, 1.0 - t)), t0=t0, r0=draw(st.floats(0.0, 1.0 - t0)))
+
+
+mixed_coeffs = st.one_of(resonant_params.map(coefficients), contractive_coeffs())
 
 
 def assert_agrees(gate, inputs, coeffs: ScatterCoeffs) -> None:
@@ -139,4 +154,84 @@ def test_second_sweep_reuses_the_compilation():
     list(cli.run_sweep(spec))
     after = _compile.cache_info()
     assert after.misses == before.misses
-    assert after.hits == before.hits + 8
+    # One lookup per sim gate per chunk of points; the 2x2 grid is one chunk.
+    assert after.hits == before.hits + 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(gate_inputs, st.lists(mixed_coeffs, min_size=1, max_size=40))
+def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_seq):
+    gate, inputs = gate_and_inputs
+    ideal = _run(gate, inputs, GateMode.ideal())
+    try:
+        want = [dict_figures(gate, inputs, GateMode.with_coefficients(c), ideal) for c in coeffs_seq]
+    except DegenerateStateError:
+        with pytest.raises(DegenerateStateError):
+            gate_figures_many(gate, inputs, coeffs_seq)
+        return
+    got = gate_figures_many(gate, inputs, coeffs_seq)
+    assert len(got) == len(want)
+    for figures, (per_branch, pre, survival) in zip(got, want):
+        # Compared before renormalization, as in assert_agrees.
+        assert abs(figures.survival - survival) <= TOL
+        assert abs(figures.per_branch_averaged * figures.survival - per_branch * survival) <= TOL
+        assert abs(figures.pre_measurement * figures.survival - pre * survival) <= TOL
+
+
+def test_input_amplitude_near_the_pruning_threshold():
+    # Amplitudes of about 6e-12 fall below the dict engine's 1e-12 pruning
+    # threshold within a few passes at the generic compile points, yet stay
+    # whole at a lossless point; the compiled supports must still hold them.
+    inputs = (QubitState(1.0, 6.114851374003252e-12), QUBIT_R, QUBIT_R)
+    assert_agrees(Gate.TOFFOLI, inputs, coefficients(CavityParams(g=0.0, kappa_s=0.0, gamma=1.0)))
+
+
+@pytest.mark.parametrize("convention", cli.FIDELITY_CONVENTIONS)
+def test_sweep_over_several_chunks_equals_point_by_point(convention):
+    spec = cli.SweepSpec(
+        g_over_kappa=cli.SweepRange(0.0, 5.0, 11),
+        kappa_s_over_kappa=cli.SweepRange(0.0, 1.0, 7),
+        outputs=cli.ALL_OUTPUTS,
+        sim_convention=convention,
+    )
+    rows = list(cli.run_sweep(spec))
+    assert len(rows) == 77 > cli.SWEEP_CHUNK
+    # Not bit for bit: the matrix product may sum in another order for
+    # another batch width, which moves the last bits.
+    for row in rows:
+        coeffs = coefficients(CavityParams(g=row.g_over_kappa, kappa_s=row.kappa_s_over_kappa))
+        got = dict(zip(cli.ALL_OUTPUTS, row.values))
+        for gate, f_name, eta_name in (
+            (Gate.CNOT, "sim_f_cnot", "sim_eta_cnot"),
+            (Gate.TOFFOLI, "sim_f_toffoli", "sim_eta_toffoli"),
+        ):
+            want = gate_figures(gate, (QUBIT_PLUS,) * ARITY[gate], coeffs)
+            assert abs(got[f_name] - want.fidelity(convention)) <= TOL
+            assert abs(got[eta_name] - want.survival) <= TOL
+
+
+def test_batch_fails_with_its_first_bad_point():
+    good = coefficients(CavityParams(g=2.4, kappa_s=0.5))
+    too_large = ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0)
+    not_a_number = ScatterCoeffs(t=math.nan, r=1.0, t0=-1.0, r0=0.0)
+    detuned = coefficients(CavityParams(g=2.4, kappa_s=0.5, delta_c=0.7, delta_x=-0.3))
+    inputs = (QUBIT_PLUS, QUBIT_PLUS)
+
+    def first_error(points):
+        """Evaluate ``points`` one by one and as a batch; both must fail alike."""
+        with pytest.raises(Exception) as one_by_one:
+            for point in points:
+                gate_figures(Gate.CNOT, inputs, point)
+        with pytest.raises(type(one_by_one.value)) as batched:
+            gate_figures_many(Gate.CNOT, inputs, points)
+        assert str(batched.value) == str(one_by_one.value)
+        return batched.value
+
+    error = first_error([good, good, too_large, not_a_number, good])
+    assert isinstance(error, InvalidCoefficientError)
+    assert str(error) == "|r| = 1.2 exceeds 1"
+    error = first_error([good, not_a_number, too_large])
+    assert str(error) == "|t| = nan exceeds 1"
+    error = first_error([good, detuned, too_large])
+    assert isinstance(error, StructureError)
+    assert str(error).startswith("squared norm 1.14083090880494")
