@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .hilbert import PhotonLabel, Polarization, Propagation, SpinBasis, StateError
+from .hilbert import Polarization, Propagation, SpinBasis, StateError
 
 #: Dipole decay rate assumed when no value is given. This ratio reproduces
 #: the quoted headline operating points wherever they are mutually
@@ -74,8 +75,7 @@ class CavityParams:
             raise ValueError("kappa must be positive")
 
 
-@dataclass(frozen=True)
-class ScatterCoeffs:
+class ScatterCoeffs(NamedTuple):
     """The four coefficients driving realistic scattering.
 
     ``t``/``r`` describe the dipole-coupled (hot) cavity, ``t0``/``r0`` the
@@ -96,7 +96,8 @@ class ScatterCoeffs:
     @property
     def magnitudes(self) -> tuple[float, float, float, float]:
         """(|t|, |r|, |t0|, |r0|)."""
-        return abs(self.t), abs(self.r), abs(self.t0), abs(self.r0)
+        t, r, t0, r0 = self
+        return abs(t), abs(r), abs(t0), abs(r0)
 
 
 def coefficients(params: CavityParams) -> ScatterCoeffs:
@@ -112,15 +113,24 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
     finite even at gamma = 0.
     """
     if params.delta_c == 0.0 and params.delta_x == 0.0:
-        # Real arithmetic on resonance; complex division would cost a few
-        # ulps that the closed-form polynomials downstream then amplify.
-        dipole = params.gamma / 2.0
-        cavity_term = params.kappa + params.kappa_s / 2.0
-    else:
-        dipole = 1j * params.delta_x + params.gamma / 2.0
-        cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
+        return resonant_coefficients(params.g, params.kappa_s, params.gamma, params.kappa)
+    dipole = 1j * params.delta_x + params.gamma / 2.0
+    cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
+    return _coefficients(params.g, params.kappa, dipole, cavity_term)
 
-    denominator = dipole * cavity_term + params.g ** 2
+
+def resonant_coefficients(g: float, kappa_s: float, gamma: float, kappa: float) -> ScatterCoeffs:
+    """:func:`coefficients` at zero detuning, for rates a :class:`CavityParams` has accepted.
+
+    Nothing is validated again, so a sweep pays only the arithmetic per point.
+    Real arithmetic: complex division would cost a few ulps that the
+    closed-form polynomials downstream then amplify.
+    """
+    return _coefficients(g, kappa, gamma / 2.0, kappa + kappa_s / 2.0)
+
+
+def _coefficients(g, kappa, dipole, cavity_term) -> ScatterCoeffs:
+    denominator = dipole * cavity_term + g ** 2
     if abs(denominator) < _SINGULAR_EPS:
         raise SingularParameterError(
             f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
@@ -130,9 +140,9 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
             f"cold-cavity denominator magnitude {abs(cavity_term)} below {_SINGULAR_EPS}"
         )
 
-    t = -params.kappa * dipole / denominator
-    t0 = -params.kappa / cavity_term
-    return ScatterCoeffs(t=t, r=1.0 + t, t0=t0, r0=1.0 + t0)
+    t = -kappa * dipole / denominator
+    t0 = -kappa / cavity_term
+    return ScatterCoeffs(t, 1.0 + t, t0, 1.0 + t0)
 
 
 def _couples(polarization: Polarization, propagation: Propagation, spin: SpinBasis) -> bool:
@@ -204,18 +214,3 @@ def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
                 (pol.flipped, prop.flipped, spin, -ar0),
             )
     return table
-
-
-def scatter_as_sited_map(table: ScatterTable):
-    """Adapt a scatter table to a photon-spin sited map that keeps the mode."""
-
-    def joint(label_spin):
-        label, spin = label_spin
-        return [
-            ((PhotonLabel(pol, prop, label.mode), new_spin), amp)
-            for pol, prop, new_spin, amp in table[
-                ((label.polarization, label.propagation), spin)
-            ]
-        ]
-
-    return joint

@@ -16,13 +16,15 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, TextIO
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .cavity import CavityParams, coefficients
+from .cavity import CavityParams, coefficients, resonant_coefficients
 from .circuits import (
     FIDELITY_CONVENTIONS,
     Gate,
@@ -43,6 +45,7 @@ from .circuits import (
 from .hilbert import StateError, serialize
 from .metrics import (
     DecoherenceParams,
+    GateFigures,
     closed_form_figures,
     exciton_dephasing_factor,
     spin_decoherence_factor,
@@ -126,8 +129,7 @@ class SweepSpec:
             raise ConfigError(f"sim_convention: unknown convention {self.sim_convention!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     g_over_kappa: float
     kappa_s_over_kappa: float
     values: tuple[float, ...]
@@ -162,54 +164,68 @@ SWEEP_CHUNK = 16
 def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     """Evaluate the requested outputs over the grid, rows in grid order."""
     spec.validate()
-    fidelity_scale = _fidelity_multiplier(spec)
+    # The ranges hold every coordinate finite and within [0, 100], so one
+    # CavityParams validates the whole grid, with the messages a per-point
+    # one would give. Each point then costs only its arithmetic.
+    params = CavityParams(g=0.0, gamma=spec.gamma_over_kappa)
+    gamma, kappa = params.gamma, params.kappa
     sim_gates = [column for column in _SIM_COLUMNS if {column[2], column[3]} & set(spec.outputs)]
+    # A point's record is its GateFigures followed by (fidelity, survival)
+    # of each simulated gate; a row picks its values from it in output order.
+    index = {name: i for i, name in enumerate(GateFigures._fields)}
+    for _, _, f_name, eta_name in sim_gates:
+        index[f_name], index[eta_name] = len(index), len(index) + 1
+    columns = [index[name] for name in spec.outputs]
+    pick = itemgetter(*columns) if len(columns) > 1 else lambda record: (record[columns[0]],)
+    fidelity_scale = _fidelity_multiplier(spec)
+    scales = [fidelity_scale if name in FIDELITY_OUTPUTS else 1.0 for name in spec.outputs]
     grid = itertools.product(spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points())
     # A chunk's closed forms run before its gates. Resonant coefficients never
     # fail a gate (magnitudes at most one, contracting passes, nonzero
     # survival), so a failing sweep still reports its first failing point.
     while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
-        chunk_coeffs, chunk_values = [], []
-        for g, ks in chunk:
-            coeffs = coefficients(CavityParams(g=g, kappa_s=ks, gamma=spec.gamma_over_kappa))
-            figures = closed_form_figures(coeffs)
-            chunk_coeffs.append(coeffs)
-            chunk_values.append({
-                "f_cnot": figures.f_cnot,
-                "f_toffoli": figures.f_toffoli,
-                "eta_cnot": figures.eta_cnot,
-                "eta_toffoli": figures.eta_toffoli,
-            })
-        for gate, inputs, f_name, eta_name in sim_gates:
-            for values, simulated in zip(chunk_values, gate_figures_many(gate, inputs, chunk_coeffs)):
-                values[f_name] = simulated.fidelity(spec.sim_convention)
-                values[eta_name] = simulated.survival
-        for (g, ks), values in zip(chunk, chunk_values):
-            row_values = []
-            for name in spec.outputs:
-                value = values[name]
-                if name in FIDELITY_OUTPUTS:
-                    value *= fidelity_scale
-                row_values.append(value)
-            yield SweepRow(g, ks, tuple(row_values))
+        chunk_coeffs = [resonant_coefficients(g, ks, gamma, kappa) for g, ks in chunk]
+        records = [closed_form_figures(coeffs) for coeffs in chunk_coeffs]
+        for gate, inputs, _, _ in sim_gates:
+            simulated = gate_figures_many(gate, inputs, chunk_coeffs)
+            records = [
+                record + (figures.fidelity(spec.sim_convention), figures.survival)
+                for record, figures in zip(records, simulated)
+            ]
+        for (g, ks), record in zip(chunk, records):
+            values = pick(record)
+            if fidelity_scale != 1.0:  # x * 1.0 is x, bit for bit
+                # From a list, not a generator: tuple() of a generator resizes
+                # its result, which parks it on another size's free list.
+                values = tuple([value * scale for value, scale in zip(values, scales)])
+            yield SweepRow(g, ks, values)
+
+
+class _Formatted(dict):
+    """17-digit text of each value, formatted on first use.
+
+    Zeros are never stored: 0.0 and -0.0 are one key but print apart.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = _fmt(value)
+        if value:
+            self[value] = text
+        return text
 
 
 def write_csv(spec: SweepSpec, rows, out: TextIO) -> None:
     out.write("g_over_kappa,kappa_s_over_kappa," + ",".join(spec.outputs) + "\n")
-    for row in rows:
-        cells = [_fmt(row.g_over_kappa), _fmt(row.kappa_s_over_kappa)]
-        cells.extend(_fmt(v) for v in row.values)
-        out.write(",".join(cells) + "\n")
+    line = "%s,%s," + ",".join(["%.17g"] * len(spec.outputs)) + "\n"
+    coordinates = _Formatted()
+    for g, ks, values in rows:
+        out.write(line % (coordinates[g], coordinates[ks], *values))
 
 
 def write_json(spec: SweepSpec, rows, out: TextIO) -> None:
     payload = [
-        {
-            "g_over_kappa": row.g_over_kappa,
-            "kappa_s_over_kappa": row.kappa_s_over_kappa,
-            **{name: value for name, value in zip(spec.outputs, row.values)},
-        }
-        for row in rows
+        {"g_over_kappa": g, "kappa_s_over_kappa": ks, **dict(zip(spec.outputs, values))}
+        for g, ks, values in rows
     ]
     json.dump(payload, out, indent=2)
     out.write("\n")
@@ -255,8 +271,7 @@ def cmd_coeffs(args, out: TextIO) -> int:
         delta_c=args.delta_c,
         delta_x=args.delta_x,
     )
-    co = coefficients(params)
-    for name, value in (("t", co.t), ("r", co.r), ("t0", co.t0), ("r0", co.r0)):
+    for name, value in coefficients(params)._asdict().items():
         value = complex(value)
         out.write(f"{name} {_fmt(value.real)} {_fmt(value.imag)}\n")
     return 0
@@ -399,6 +414,7 @@ def build_parser() -> _Parser:
     sim_p.add_argument("--mode", choices=("ideal", "realistic"), default="ideal")
     sim_p.add_argument("--trace", action="store_true", help="print named staged states")
     _add_cavity_flags(sim_p)
+    parser.simulate_flags = tuple(sim_p._option_string_actions)
 
     tt_p = sub.add_parser("truth-table", help="verify the ideal gate against its oracle")
     tt_p.add_argument("gate", choices=("cnot", "toffoli"))
@@ -466,19 +482,30 @@ def _expand_config(argv: list[str]) -> list[str]:
 _QUBIT_FLAGS = ("--control", "--control2", "--target")
 
 
+def _resolve_flag(token: str, flags: Sequence[str]) -> str:
+    """The flag ``token`` names as argparse reads it: exactly, or as the one flag it abbreviates."""
+    if token in flags or not token.startswith("--"):
+        return token
+    matches = [flag for flag in flags if flag.startswith(token)]
+    return matches[0] if len(matches) == 1 else token
+
+
 def _attach_qubit_tokens(argv: list[str]) -> list[str]:
     """Join ``--target -0.6j:0.8`` into ``--target=-0.6j:0.8`` for ``simulate``.
 
     argparse reads a separate token that starts with ``-`` and is not a plain
     number as an option. A token holding ``:`` is an ``alpha:beta`` pair,
-    never an option, so it is attached to the qubit flag before it; a bare
-    ``-`` already parses as the minus state.
+    never an option, so it is attached to the qubit flag before it, named in
+    full or by a unique prefix; a bare ``-`` already parses as the minus
+    state. An ambiguous prefix is left for argparse to report.
     """
     if argv[:1] != ["simulate"]:
         return argv
+    flags = build_parser().simulate_flags
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in _QUBIT_FLAGS and token.startswith("-") and ":" in token:
+        pair = token.startswith("-") and ":" in token
+        if pair and joined and _resolve_flag(joined[-1], flags) in _QUBIT_FLAGS:
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -501,7 +528,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         out_path = getattr(args, "out", None)
         if not out_path:
-            return _COMMANDS[args.command](args, sys.stdout)
+            code = _COMMANDS[args.command](args, sys.stdout)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return code
         # The file is opened only once the command has succeeded, so a
         # failed run neither creates nor truncates it.
         buffer = io.StringIO()
@@ -512,6 +541,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
         return code
+    except BrokenPipeError:
+        # The reader of stdout went away. Point stdout at devnull so the
+        # interpreter's last flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError) as exc:
         # ValueError here means flag-derived parameters failed validation
         # (negative rates, non-positive time scales, and the like).

@@ -423,29 +423,6 @@ def measure_spin(state: StateVector) -> list[tuple[SpinBasis, float, StateVector
     return branches
 
 
-def allclose(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """Amplitude-wise comparison with absolute tolerance."""
-    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
-        return False
-    kets = set(k for k, _ in a.items()) | set(k for k, _ in b.items())
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in kets)
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """True when the states differ by at most one overall phase factor."""
-    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
-        return False
-    if abs(a.norm() - b.norm()) > tol:
-        return False
-    if a.is_zero() and b.is_zero():
-        return True
-    overlap = inner_product(a, b)
-    if abs(overlap) <= tol:
-        return False
-    phase = overlap / abs(overlap)
-    return allclose(a.scaled(phase), b, tol)
-
-
 def serialize(state: StateVector) -> str:
     """Plain-text form: one line per ket, ``pol/dir/mode,... | spin : re,im``.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ CAVITY_LIFETIME_NS = 10.0
 TRION_COHERENCE_NS = 100.0
 
 
-@dataclass(frozen=True)
-class GateFigures:
+class GateFigures(NamedTuple):
     """Closed-form figures of merit plus the exposed intermediate values."""
 
     f_cnot: float
@@ -100,16 +100,7 @@ def closed_form_figures(coeffs: ScatterCoeffs) -> GateFigures:
     eta_cnot = (0.5 + 1.25 * zeta) / 3.0
     eta_toffoli = (1.0 + 1.25 * zeta + zeta ** 4 / 32.0) / 4.0
 
-    return GateFigures(
-        f_cnot=f_cnot,
-        f_toffoli=f_toffoli,
-        eta_cnot=eta_cnot,
-        eta_toffoli=eta_toffoli,
-        zeta=zeta,
-        xi1=xi1,
-        xi2=xi2,
-        xi3=xi3,
-    )
+    return GateFigures(f_cnot, f_toffoli, eta_cnot, eta_toffoli, zeta, xi1, xi2, xi3)
 
 
 def spin_decoherence_factor(params: DecoherenceParams) -> float:

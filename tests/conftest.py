@@ -1,5 +1,5 @@
-"""Shared helpers: seeded random states, golden-file parsing, exact closed forms and
-dict-engine reference figures."""
+"""Shared helpers: seeded random states, state comparisons, golden-file parsing, exact
+closed forms and dict-engine reference figures."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from spincavity.hilbert import (
     StateVector,
     deserialize,
     fidelity,
+    inner_product,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,6 +64,42 @@ def random_state(
     }
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
     return StateVector({k: v / norm for k, v in amps.items()})
+
+
+def allclose(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
+    """Amplitude-wise comparison with absolute tolerance."""
+    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
+        return False
+    kets = set(k for k, _ in a.items()) | set(k for k, _ in b.items())
+    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in kets)
+
+
+def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
+    """True when the states differ by at most one overall phase factor."""
+    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
+        return False
+    if abs(a.norm() - b.norm()) > tol:
+        return False
+    if a.is_zero() and b.is_zero():
+        return True
+    overlap = inner_product(a, b)
+    if abs(overlap) <= tol:
+        return False
+    phase = overlap / abs(overlap)
+    return allclose(a.scaled(phase), b, tol)
+
+
+def scatter_as_sited_map(table):
+    """Adapt a scatter table to a photon-spin sited map that keeps the mode."""
+
+    def joint(label_spin):
+        label, spin = label_spin
+        return [
+            ((PhotonLabel(pol, prop, label.mode), new_spin), amp)
+            for pol, prop, new_spin, amp in table[((label.polarization, label.propagation), spin)]
+        ]
+
+    return joint
 
 
 def lincomb(pairs) -> StateVector:

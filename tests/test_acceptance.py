@@ -32,7 +32,6 @@ from spincavity.cavity import (
     coefficients,
     ideal_scatter,
     realistic_scatter,
-    scatter_as_sited_map,
 )
 from spincavity.circuits import (
     Gate,
@@ -64,13 +63,20 @@ from spincavity.hilbert import (
     Propagation,
     SpinBasis,
     StateVector,
-    allclose,
     apply_sited_map,
-    equal_up_to_global_phase,
     fidelity,
 )
 from spincavity.metrics import closed_form_figures, trion_density_matrix
-from conftest import exact_figures, lincomb, parse_golden, random_qubit, random_state
+from conftest import (
+    allclose,
+    equal_up_to_global_phase,
+    exact_figures,
+    lincomb,
+    parse_golden,
+    random_qubit,
+    random_state,
+    scatter_as_sited_map,
+)
 
 import random
 

@@ -20,7 +20,6 @@ from spincavity.cavity import (
     coefficients,
     ideal_scatter,
     realistic_scatter,
-    scatter_as_sited_map,
 )
 from spincavity.hilbert import (
     BasisKet,
@@ -30,10 +29,9 @@ from spincavity.hilbert import (
     Propagation,
     SpinBasis,
     StateVector,
-    allclose,
     apply_sited_map,
 )
-from conftest import random_state
+from conftest import allclose, random_state, scatter_as_sited_map
 
 R, L = Polarization.R, Polarization.L
 UP_Z, DN_Z = Propagation.ALONG_Z, Propagation.AGAINST_Z

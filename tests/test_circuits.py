@@ -257,7 +257,7 @@ class TestRealisticMode:
         # before readout for a superposed qubit equals the superposition of
         # the basis runs. This exercises every pass, switch epoch, and sink.
         from spincavity.circuits import _run
-        from spincavity.hilbert import allclose
+        from conftest import allclose
 
         params = CavityParams(g=1.3, kappa_s=0.6, gamma=0.15)
         alpha = complex(0.6, 0.3)
@@ -292,7 +292,7 @@ class TestRealisticMode:
         # phase; the implementation actually lands sign-exact on the golden
         # transcriptions, which this pins so regressions are visible early.
         from conftest import parse_golden
-        from spincavity.hilbert import allclose
+        from conftest import allclose
 
         for golden_name, result in (
             ("cnot_trace.txt", cnot(QUBIT_PLUS, QUBIT_PLUS)),
@@ -319,6 +319,27 @@ def test_norm_never_rises_from_step_to_step(gate, rand, coeffs):
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
     for before, after in zip(norms, norms[1:]):
         assert after <= before + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Gate)), st.randoms(use_true_random=False))
+def test_ideal_mode_equals_ideal_coefficients(gate, rand):
+    # The exact rule table and the lossless limit coefficients are two routes
+    # to the same gate: every stage, every branch and the survival agree.
+    from conftest import allclose
+
+    run = cnot if gate is Gate.CNOT else toffoli
+    inputs = [random_qubit(rand) for _ in _PROGRAMS[gate].in_modes]
+    ideal = run(*inputs)
+    injected = run(*inputs, GateMode.with_coefficients(ScatterCoeffs.ideal()))
+    assert injected.survival == pytest.approx(ideal.survival, abs=1e-12)
+    assert [name for name, _ in injected.trace] == [name for name, _ in ideal.trace]
+    for (_, got), (_, want) in zip(injected.trace, ideal.trace):
+        assert allclose(got, want, 1e-12)
+    assert [b.outcome for b in injected.branches] == [b.outcome for b in ideal.branches]
+    for got, want in zip(injected.branches, ideal.branches):
+        assert got.probability == pytest.approx(want.probability, abs=1e-12)
+        assert allclose(got.state, want.state, 1e-12)
 
 
 class TestQubitState:

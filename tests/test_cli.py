@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,27 @@ class TestSimulate:
         minus = run_cli(capsys, "simulate", "cnot", "--control", "-", "--target", "R")
         assert minus[0] == 0
         assert run_cli(capsys, "simulate", "cnot", "--control", "minus", "--target", "R") == minus
+
+    @pytest.mark.parametrize("flag,full", [
+        ("--targ", "--target"), ("--ta", "--target"), ("--control", "--control"),
+        ("--control2", "--control2"),
+    ])
+    def test_dash_led_token_may_follow_an_abbreviated_flag(self, capsys, flag, full):
+        others = {"--control": "+", "--control2": "L", "--target": "R"}
+        del others[full]
+        argv = ["simulate", "toffoli", *(token for pair in others.items() for token in pair)]
+        joined = run_cli(capsys, *argv, f"{full}=-1:0")
+        assert joined[0] == 0
+        assert run_cli(capsys, *argv, flag, "-1:0") == joined
+
+    @pytest.mark.parametrize("flag,matches", [
+        ("--t", "--target, --trace"), ("--contr", "--control, --control2"),
+    ])
+    def test_ambiguous_flag_before_a_dash_led_token(self, capsys, flag, matches):
+        argv = ["simulate", "toffoli", "--control", "+", "--control2", "L", "--target", "R"]
+        code, out, err = run_cli(capsys, *argv, flag, "-1:0")
+        assert (code, out) == (1, "")
+        assert err == f"error: ambiguous option: {flag} could match {matches}\n"
 
     def test_explicit_amplitudes(self):
         q = parse_qubit("0.6:0.8j")
@@ -352,6 +377,39 @@ class TestSweep:
         elapsed = time.perf_counter() - start
         assert len(rows) == 10000
         assert elapsed < 1.0
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head -1``) ends the run quietly with exit 1."""
+
+    @staticmethod
+    def start(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        # Buffered stdout, as in a plain shell: output waits for the last flush.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.Popen(
+            [sys.executable, "-m", "spincavity.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    def test_pipe_closed_after_one_line(self):
+        # About 1.2 MB of CSV, far more than a pipe holds.
+        process = self.start("sweep", "--g-steps", "100", "--ks-steps", "100")
+        assert process.stdout.readline().startswith(b"g_over_kappa,")
+        process.stdout.close()
+        assert process.stderr.read() == b""
+        assert process.wait(timeout=60) == 1
+
+    def test_pipe_closed_before_any_output(self):
+        # A few kilobytes, which sit in the stdout buffer until the last flush.
+        process = self.start(
+            "simulate", "toffoli", "--control", "+", "--control2", "+", "--target", "+",
+            "--mode", "realistic", "--trace",
+        )
+        process.stdout.close()
+        assert process.stderr.read() == b""
+        assert process.wait(timeout=60) == 1
 
 
 class TestConfigFile:

@@ -28,9 +28,8 @@ from spincavity.hilbert import (
     SpinBasis,
     StateError,
     StateVector,
-    allclose,
 )
-from conftest import random_state
+from conftest import allclose, random_state
 
 R, L = Polarization.R, Polarization.L
 UP_Z, DN_Z = Propagation.ALONG_Z, Propagation.AGAINST_Z

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spincavity.cavity import ScatterCoeffs, ideal_scatter, realistic_scatter, scatter_as_sited_map
+from spincavity.cavity import ScatterCoeffs, ideal_scatter, realistic_scatter
 from spincavity.elements import hadamard_p
 from spincavity.hilbert import (
     BasisKet,
@@ -22,17 +22,15 @@ from spincavity.hilbert import (
     SpinBasis,
     StateVector,
     StructureError,
-    allclose,
     apply_sited_map,
     deserialize,
-    equal_up_to_global_phase,
     fidelity,
     inner_product,
     measure_spin,
     serialize,
     tensor,
 )
-from conftest import lincomb, random_state
+from conftest import allclose, equal_up_to_global_phase, lincomb, random_state, scatter_as_sited_map
 
 R, L = Polarization.R, Polarization.L
 UP_Z, DN_Z = Propagation.ALONG_Z, Propagation.AGAINST_Z
@@ -298,8 +296,12 @@ def states(draw):
     kets = st.builds(BasisKet, st.tuples(*[labels] * photon_count), spins)
     parts = st.floats(-1.0, 1.0, allow_nan=False)
     amps = draw(st.dictionaries(kets, st.builds(complex, parts, parts), min_size=1, max_size=24))
+    largest = max(abs(v) for v in amps.values())
+    assume(largest > 0.0)
+    # Divide by the largest magnitude first: squaring subnormal amplitudes loses
+    # precision, and a norm taken from them would leave the state above norm one.
+    amps = {k: v / largest for k, v in amps.items()}
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    assume(norm > 0.0)
     return StateVector({k: v / norm for k, v in amps.items()})
 
 
