@@ -130,7 +130,11 @@ def resonant_coefficients(g: float, kappa_s: float, gamma: float, kappa: float) 
 
 
 def _coefficients(g, kappa, dipole, cavity_term) -> ScatterCoeffs:
-    denominator = dipole * cavity_term + g ** 2
+    try:
+        g_squared = g ** 2
+    except OverflowError:
+        raise ValueError(f"g = {g} is too large: g ** 2 overflows") from None
+    denominator = dipole * cavity_term + g_squared
     if abs(denominator) < _SINGULAR_EPS:
         raise SingularParameterError(
             f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"

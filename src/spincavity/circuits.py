@@ -27,10 +27,11 @@ shows up either as norm lost inside the cavity (efficiency) or as bit-flip
 amplitude riding along to the output (fidelity).
 
 Each gate is written once, as a sequence of steps. The dict engine
-interprets it for single runs, and also compiles it into polynomials in the
-coefficient magnitudes for :func:`gate_figures_many`, which evaluates
-fidelities and survival over batches of cavity parameters without rerunning
-the circuit.
+interprets it for single runs, recording runs of a kind that repeats as step
+plans that later runs replay bit for bit, and also compiles it into
+polynomials in the coefficient magnitudes for :func:`gate_figures_many`,
+which evaluates fidelities and survival over batches of cavity parameters
+without rerunning the circuit.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import cmath
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -84,6 +86,7 @@ from .hilbert import (
     apply_sited_map,
     inner_product,
     measure_spin,
+    recording,
 )
 
 _R = Polarization.R
@@ -292,7 +295,10 @@ class QubitState:
     def __post_init__(self) -> None:
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise ValueError(f"qubit amplitudes ({self.alpha}, {self.beta}) must be finite")
-        weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        try:
+            weight = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        except OverflowError:
+            weight = math.inf
         if abs(weight - 1.0) > 1e-9:
             raise ValueError(f"qubit weight {weight} is not 1 within 1e-9")
 
@@ -333,29 +339,29 @@ class GateResult:
         raise KeyError(name)
 
 
-def _product_input(qubits: Sequence[QubitState], in_modes: Sequence[int]) -> StateVector:
-    amps: dict[BasisKet, complex] = {}
-    choices = [
-        ((_R, q.alpha), (_L, q.beta))
-        for q in qubits
+def _product_kets(in_modes: Sequence[int], spin: SpinBasis) -> list[BasisKet]:
+    """Product basis kets, R before L per photon, the first photon most significant: ket order."""
+    return [
+        BasisKet(tuple(PhotonLabel(pol, _DOWN_Z, mode) for pol, mode in zip(pols, in_modes)), spin)
+        for pols in itertools.product((_R, _L), repeat=len(in_modes))
     ]
-    for combo in itertools.product(*choices):
+
+
+def _product_amplitudes(qubits: Sequence[QubitState]) -> list[complex]:
+    """The product input's amplitude on each of :func:`_product_kets`."""
+    amps = []
+    for combo in itertools.product(*[(q.alpha, q.beta) for q in qubits]):
         amp = 1.0 + 0j
-        photons = []
-        for (pol, coeff), mode in zip(combo, in_modes):
+        for coeff in combo:
             amp *= coeff
-            photons.append(PhotonLabel(pol, _DOWN_Z, mode))
-        if amp != 0:
-            amps[BasisKet(tuple(photons), None)] = amp
-    return StateVector(amps, photon_count=len(qubits), has_spin=False)
+        amps.append(amp)
+    return amps
 
 
-def _with_spin(state: StateVector, spin: SpinBasis) -> StateVector:
-    return StateVector(
-        {BasisKet(k.photons, spin): v for k, v in state.items()},
-        photon_count=state.photon_count,
-        has_spin=True,
-    )
+def _input_state(program: "_GateProgram", inputs: Sequence[QubitState]) -> StateVector:
+    kets = _product_kets(program.in_modes, program.spin)
+    amps = {ket: amp for ket, amp in zip(kets, _product_amplitudes(inputs)) if amp != 0}
+    return StateVector(amps, photon_count=len(inputs), has_spin=True)
 
 
 class CavityPass(NamedTuple):
@@ -513,7 +519,7 @@ def _apply(step, state: StateVector, table: ScatterTable | None) -> StateVector:
 
 def _states(program: _GateProgram, inputs: Sequence[QubitState], table: ScatterTable):
     """Interpret the program: yield ``(None, input)``, then each step with the state after it."""
-    state = _with_spin(_product_input(inputs, program.in_modes), program.spin)
+    state = _input_state(program, inputs)
     yield None, state
     for step in program.steps:
         if not isinstance(step, str):
@@ -541,17 +547,19 @@ def _canonical_photonic(state: StateVector) -> StateVector:
     return StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
 
 
+def _readout(state: StateVector, ff_rule):
+    """Each readout branch: outcome, probability, post-measurement state and output state."""
+    for outcome, probability, post in measure_spin(state):
+        yield outcome, probability, post, _canonical_photonic(feed_forward(post, outcome, ff_rule))
+
+
 def _finish(
     state: StateVector,
     ff_rule,
     trace: list[tuple[str, StateVector]],
 ) -> GateResult:
-    survival = state.norm_squared()
-    branches = []
-    for outcome, probability, post in measure_spin(state):
-        post = feed_forward(post, outcome, ff_rule)
-        branches.append(Branch(outcome, probability, _canonical_photonic(post)))
-    return GateResult(tuple(branches), survival, tuple(trace))
+    branches = tuple(Branch(o, p, out) for o, p, _, out in _readout(state, ff_rule))
+    return GateResult(branches, state.norm_squared(), tuple(trace))
 
 
 def _run(
@@ -562,7 +570,11 @@ def _run(
 ) -> tuple[GateResult, StateVector]:
     """Run ``gate`` on product ``inputs``: the result and the joint state before readout.
 
-    ``spin_init`` defaults to the spin preparation the gate needs.
+    ``spin_init`` defaults to the spin preparation the gate needs. The run
+    replays the plans earlier runs of its kind recorded, or else is
+    interpreted; both give the same bits (see :func:`_replay`). The first
+    run of a kind that misses is not recorded, so a one-shot command pays
+    nothing for the cache.
     """
     program = _PROGRAMS[gate]
     arity = len(program.in_modes)
@@ -573,11 +585,243 @@ def _run(
             f"the {program.name} needs the spin initialized {program.spin.name.lower()}"
         )
     table = mode.scatter_table()
-    trace: list[tuple[str, StateVector]] = []
-    for step, state in _states(program, inputs, table):
-        if isinstance(step, str):
-            trace.append((step, state))
-    return _finish(state, program.feed_forward, trace), state
+    values = _product_amplitudes(inputs)
+    support, log = _survivors(values), None
+    if support is not None:
+        root = _plan_root(gate, len(next(iter(table.values()))), support[0])
+        table_values = tuple([term[3] for terms in table.values() for term in terms])
+        replayed = _replay(root, values, table_values, arity)
+        if replayed is not None:
+            return replayed
+        with _PLANS_LOCK:
+            root.data += 1
+            if 1 < root.data <= _PATHS_PER_ROOT + 1:
+                log = []
+    result, pre, path = _interpret(program, inputs, table, log)
+    if path is not None:
+        with _PLANS_LOCK:
+            node = root
+            for key, data in path:
+                node = node.next.setdefault(key, _Plan(data))
+    return result, pre
+
+
+# -- recorded runs ------------------------------------------------------------
+#
+# Which kets a run reaches, and so the order of every sum in it, depends only
+# on the gate, the scatter table's shape, the input support and which kets
+# each step prunes. Runs of a kind that miss are interpreted, from the second
+# on with their sited maps logged and kept as a path in a trie of plans; later
+# runs replay the plans with the same float operations in the same order, and
+# every value check.
+
+
+class _Slot(float):
+    """A scatter amplitude that knows its place in the table, so a logged edge can name it."""
+
+    __slots__ = ("index",)
+
+    def __new__(cls, value: float, index: int):
+        slot = super().__new__(cls, value)
+        slot.index = index
+        return slot
+
+
+class _Plan:
+    """A trie node: a recorded step, and the next node by which kets the step kept.
+    A root's ``data`` counts the runs that missed its paths instead."""
+
+    __slots__ = ("data", "next")
+
+    def __init__(self, data) -> None:
+        self.data, self.next = data, {}
+
+
+class _Step(NamedTuple):
+    """One sited map over the positions of the previous step's outputs: ``edges``
+    holds (source, output, coefficient) in summation order, outputs numbered by
+    first touch. A coefficient indexes the table's amplitudes, then ``constants``.
+    ``kets`` are kept where a state is built: at trace ``marks`` and before the
+    readout.
+
+    The readout's plan is a plain tuple instead: per outcome, ``(outcome,
+    positions of its kets in ket order, branch)``, where ``branch`` is None if
+    the outcome has none, else the feed-forward steps, the positions of their
+    output in ket order, and the direction-erased kets."""
+
+    edges: tuple
+    outputs: int
+    constants: tuple
+    kets: tuple | None
+    marks: tuple
+
+
+#: Runs recorded under one root at most; later misses are only interpreted.
+_PATHS_PER_ROOT = 16
+#: Guards each root's count and the inserts under it.
+_PLANS_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=64)
+def _plan_root(gate: Gate, terms_per_key: int, support: tuple | None) -> _Plan:
+    """The trie of one gate, scatter-table shape and input support (kept positions,
+    None for all)."""
+    return _Plan(0)
+
+
+def _survivors(values: list) -> tuple | None:
+    """The positions a :class:`StateVector` of ``values`` keeps (None for all) and
+    its squared norm, summed as it sums it; None where it would raise."""
+    magnitudes = list(map(abs, values))
+    if min(magnitudes, default=PRUNE_EPS) >= PRUNE_EPS:
+        key, kept = None, magnitudes
+    elif any(m != m for m in magnitudes):  # a NaN amplitude
+        return None
+    else:
+        key = tuple([j for j, m in enumerate(magnitudes) if m >= PRUNE_EPS])
+        kept = [magnitudes[j] for j in key]
+    norm_sq = sum(map(pow, kept, itertools.repeat(2)))
+    return (key, norm_sq) if norm_sq <= 1.0 + NORM_EPS else None
+
+
+def _apply_step(step: _Step, values: list, table_values: tuple) -> list:
+    ks = table_values + step.constants
+    new = [0j] * step.outputs
+    for i, o, c in step.edges:
+        new[o] += values[i] * ks[c]
+    return new
+
+
+def _replay(root: _Plan, values: list, table_values: tuple, photon_count: int):
+    """Replay the paths under ``root`` from the input amplitudes: the result and pre-readout state.
+
+    Returns None where the run leaves the recorded paths or a value check
+    fails (pruning, NaN, the squared-norm cap, a zero state, a branch weight);
+    the interpreter then reruns it and raises as it always has. The structural
+    checks (routing collisions, incomplete maps, photon indices, switch
+    schedules, ket structure, canonical-output collisions) ran at recording.
+    They depend only on the kets, which are the recorded ones, so a replay
+    cannot fail them.
+    """
+    node, trace, key = root, [], None
+    while (node := node.next.get(key)) is not None and type(node.data) is _Step:
+        step = node.data
+        values = _apply_step(step, values, table_values)
+        if (checked := _survivors(values)) is None:
+            return None
+        key, norm_sq = checked
+        if step.kets is not None:  # trace marks, or the last step: the pre-readout state
+            kets = step.kets
+            kept = zip(kets, values) if key is None else ((kets[j], values[j]) for j in key)
+            pre = StateVector._checked(dict(kept), photon_count, True)
+            trace.extend((name, pre) for name in step.marks)
+    if node is None or norm_sq <= PRUNE_EPS ** 2:
+        return None
+    branches = []
+    for outcome, picks, branch in node.data:  # measure_spin
+        weight = sum([abs(values[j]) ** 2 for j in picks])
+        if (weight > MIN_BRANCH_WEIGHT) != (branch is not None):
+            return None
+        if branch is None:
+            continue
+        steps, order, kets = branch
+        scale = 1.0 / math.sqrt(weight)
+        posts = [[values[j] * scale for j in picks]]
+        for step in steps:  # feed_forward
+            posts.append(_apply_step(step, posts[-1], table_values))
+        posts.append([posts[-1][j] for j in order])  # _canonical_photonic
+        if any((kept := _survivors(post)) is None or kept[0] is not None for post in posts):
+            return None
+        state = StateVector._checked(dict(zip(kets, posts[-1])), photon_count, False)
+        branches.append(Branch(outcome, weight / norm_sq, state))
+    return GateResult(tuple(branches), norm_sq, tuple(trace)), pre
+
+
+def _interpret(
+    program: _GateProgram, inputs: Sequence[QubitState], table: ScatterTable, log=None
+):
+    """Interpret a run: its result and pre-readout state, and, with its sited maps logged
+    to ``log``, the path of ``(key, plan)`` that replays it (else None)."""
+    if log is not None:  # amplitudes that name their slot in the table, for the logged edges
+        count = itertools.count()
+        table = {
+            k: tuple((*t[:3], _Slot(t[3], next(count))) for t in terms) for k, terms in table.items()
+        }
+    trace, marks = [], {}
+    with recording(log):
+        states = _states(program, inputs, table)
+        source = state = next(states)[1]
+        for step, state in states:
+            if isinstance(step, str):
+                trace.append((step, state))
+                marks.setdefault(len(log or ()), []).append(step)
+        readout = list(_readout(state, program.feed_forward))
+    result = GateResult(
+        tuple(Branch(o, p, out) for o, p, _, out in readout), state.norm_squared(), tuple(trace)
+    )
+    if not log or 0 in marks:
+        return result, state, None
+    slots = sum(map(len, table.values()))
+    return result, state, _path(program, log, source, marks, state, readout, slots)
+
+
+def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pre: StateVector,
+          readout: list, slots: int):
+    """The path that replays a logged run. None where the log is not one chain of sited
+    maps from the input ``source`` to ``pre`` and on from each post-measurement state,
+    or where the readout prunes a ket."""
+    kets = _product_kets(program.in_modes, program.spin)
+    path, key, position, n, shared = [], None, {k: j for j, k in enumerate(kets)}, 0, {}
+    while n < len(log) and log[n][0] is source:
+        _, edges, source = log[n]
+        n += 1
+        names = tuple(marks.get(n, ()))
+        keep = bool(names) or source is pre
+        step, position = _plan_step(edges, position, slots, keep, names, shared)
+        path.append((key, step))
+        key = None if len(source) == len(position) else tuple(
+            j for j, k in enumerate(position) if k in source._amps
+        )
+    if source is not pre or not path:
+        return None
+    pre_position, outcomes = position, []
+    posts = {o: (post, out) for o, _, post, out in readout}
+    for outcome in SpinBasis:
+        picked = [k for k in pre.kets() if k.spin is outcome]
+        branch = None
+        if outcome in posts:
+            source, out = posts[outcome]
+            position, steps = {k.with_spin(None): j for j, k in enumerate(picked)}, []
+            while len(source) == len(position) and n < len(log) and log[n][0] is source:
+                _, edges, source = log[n]
+                n += 1
+                step, position = _plan_step(edges, position, slots, False, (), shared)
+                steps.append(step)
+            if not len(source) == len(position) == len(out):
+                return None
+            branch = (tuple(steps), tuple(position[k] for k in source.kets()), tuple(out._amps))
+        outcomes.append((outcome, tuple(pre_position[k] for k in picked), branch))
+    path.append((key, tuple(outcomes)))
+    return path if n == len(log) else None
+
+
+def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple, shared: dict):
+    """Logged edges as a :class:`_Step` over the kets ``position`` numbers, and the
+    numbering of the step's output kets. Equal constants share an index (keyed
+    with their sign, so 0.0 and -0.0 stay apart), and equal edges one tuple from
+    ``shared``, which keeps a path about a fifth smaller."""
+    outputs, plan, constants, ket = {}, [], {}, None
+    for given, out, coeff in edges:
+        if given is not ket:  # a ket's edges come together
+            ket, source = given, position[given]
+        if type(coeff) is _Slot:
+            index = coeff.index
+        else:
+            index = constants.setdefault((coeff, math.copysign(1.0, coeff)), slots + len(constants))
+        edge = (source, outputs.setdefault(out, len(outputs)), index)
+        plan.append(shared.setdefault(edge, edge))
+    kets = tuple(outputs) if keep else None
+    return _Step(tuple(plan), len(outputs), tuple(c for c, _ in constants), kets, marks), outputs
 
 
 def cnot(
@@ -867,7 +1111,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
         next_kets = sorted(set(state.kets()).union(other.kets()))
         index = {ket: i for i, ket in enumerate(next_kets)}
         if step is None:
-            initial = _dense(_with_spin(_product_input(inputs, program.in_modes), program.spin), index)
+            initial = _dense(_input_state(program, inputs), index)
             generic_initial = _dense(state, index)
         elif isinstance(step, CavityPass):
             parts = np.stack([_image_matrix(step, kets, index, table) for table in _PART_TABLES])

@@ -119,9 +119,11 @@ class SweepSpec:
         self.kappa_s_over_kappa.validate("kappa_s_over_kappa")
         if not self.outputs:
             raise ConfigError("outputs: at least one output column is required")
-        for name in self.outputs:
+        for i, name in enumerate(self.outputs):
             if name not in ALL_OUTPUTS:
                 raise ConfigError(f"outputs: unknown output {name!r}")
+            if name in self.outputs[:i]:
+                raise ConfigError(f"outputs: duplicate output {name!r}")
         for name in self.decohere:
             if name not in DECOHERE_CHOICES:
                 raise ConfigError(f"decohere: unknown factor {name!r}")

@@ -17,8 +17,10 @@ states free of numerical dust; a NaN amplitude is an error, not dust.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Mapping, NamedTuple, Union
@@ -214,6 +216,13 @@ class StateVector:
         self._has_spin = has_spin
 
     @classmethod
+    def _checked(cls, amps: dict, photon_count: int, has_spin: bool) -> "StateVector":
+        """A state over amplitudes that have already passed the constructor's checks."""
+        state = cls.__new__(cls)
+        state._amps, state._photon_count, state._has_spin = amps, photon_count, has_spin
+        return state
+
+    @classmethod
     def from_ket(cls, ket: BasisKet, amplitude: complex = 1.0) -> "StateVector":
         return cls({ket: amplitude})
 
@@ -333,6 +342,20 @@ class PhotonSpinSite:
 Site = Union[PhotonSite, SpinSite, PhotonSpinSite]
 LinearMap = Union[Callable[..., object], Mapping]
 
+_recording = threading.local()
+
+
+@contextlib.contextmanager
+def recording(log: list | None):
+    """Log every sited map this thread applies meanwhile to ``log`` (None logs nothing), in
+    order: ``(input state, edges, output state)``, the edges ``(input ket, output ket,
+    coefficient)`` in the order they were summed."""
+    _recording.log = log
+    try:
+        yield log
+    finally:
+        _recording.log = None
+
 
 def apply_sited_map(state: StateVector, site: Site, linear_map: LinearMap) -> StateVector:
     """Apply a linear map to one subsystem.
@@ -352,6 +375,8 @@ def apply_sited_map(state: StateVector, site: Site, linear_map: LinearMap) -> St
         raise StructureError("state has no spin subsystem")
 
     lookup = linear_map if callable(linear_map) else linear_map.get
+    log = getattr(_recording, "log", None)
+    edges = None if log is None else []
     images_of: dict = {}
     amps: dict[BasisKet, complex] = {}
     for ket, amp in state.items():
@@ -377,8 +402,13 @@ def apply_sited_map(state: StateVector, site: Site, linear_map: LinearMap) -> St
             else:
                 out = _ket((head + (image[0],) + tail, image[1]))
             amps[out] = amps.get(out, 0j) + amp * coeff
+            if edges is not None:
+                edges.append((ket, out, coeff))
 
-    return StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
+    result = StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
+    if log is not None:
+        log.append((state, edges, result))
+    return result
 
 
 def _undefined_message(site: Site, label) -> str:

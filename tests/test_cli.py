@@ -50,6 +50,11 @@ class TestCoeffs:
         assert out == ""
         assert f"{flag[2:].replace('-', '_')} must be finite" in err
 
+    def test_overflowing_coupling_names_g(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--g", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "error: g = 1e+200 is too large: g ** 2 overflows\n"
+
     def test_detuned_coefficients_are_complex(self, capsys):
         code, out, _ = run_cli(
             capsys, "coeffs", "--g", "1.0", "--delta-c", "0.5", "--delta-x", "0.2"
@@ -126,6 +131,24 @@ class TestSimulate:
         assert out == ""
         assert f"bad qubit token {token!r}" in err
         assert "must be finite" in err
+
+    def test_overflowing_amplitude_names_the_token(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "cnot", "--control", "1e200:1", "--target", "R"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: bad qubit token '1e200:1': qubit weight inf is not 1 within 1e-9\n"
+        )
+
+    def test_overflowing_coupling_names_g(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "cnot", "--control", "+", "--target", "R",
+            "--mode", "realistic", "--g", "1e200",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: g = 1e+200 is too large: g ** 2 overflows\n"
 
     def test_negative_rate_rejected(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--g", "-1")
@@ -297,6 +320,11 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--outputs", "f_cnot,bogus")
         assert code == 1
         assert "bogus" in err
+
+    def test_duplicate_output_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--outputs", "f_cnot,eta_cnot,f_cnot")
+        assert (code, out) == (1, "")
+        assert err == "error: outputs: duplicate output 'f_cnot'\n"
 
     def test_bad_range_names_the_field(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--g-steps", "1")

@@ -13,11 +13,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 
 import pytest
 
 from conftest import GOLDEN_DIR
 from spincavity import cli
+from spincavity.cavity import resonant_coefficients
+from spincavity.metrics import GateFigures, closed_form_figures
 
 
 def run_main(argv):
@@ -54,6 +57,29 @@ def test_sweep_csv_hash(name):
     assert (code, err) == (0, "")
     assert len(out) == length
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_closed_form_fields_hash():
+    """Every ``GateFigures`` field, zeta and the xi included, on the 200x200 default-range grid.
+
+    The CSV prints four of the eight fields; this sees the other four too.
+    Rewriting one of the twelve ``** 2`` in ``closed_form_figures`` as
+    ``x * x`` changes this hash for eight of them. The other four, the
+    squares of ``(at0 - ar0 - ar + at)`` in the second term of xi1 and the
+    first term of xi2, and ``at0 ** 2`` and ``ar0 ** 2`` in zeta, round to
+    the same doubles at every point of this grid and are invisible here.
+    """
+    grid = itertools.product(
+        cli.SweepRange(0.0, 5.0, 200).points(), cli.SweepRange(0.0, 1.0, 200).points()
+    )
+    line = ",".join(["%.17g"] * len(GateFigures._fields)) + "\n"
+    text = "".join(
+        line % closed_form_figures(resonant_coefficients(g, ks, 0.1, 1.0)) for g, ks in grid
+    )
+    assert len(text) == 6284592
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "ff58f2f84e268966d120a7b842a3ae19d5e7c5e15a05eed268d774b76f09585e"
+    )
 
 
 def test_small_json_sweep_matches_golden():
