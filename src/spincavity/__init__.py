@@ -57,12 +57,10 @@ from .hilbert import (
     fidelity,
     inner_product,
     measure_spin,
-    tensor,
 )
 from .metrics import (
     DecoherenceParams,
     GateFigures,
-    apply_exciton_dephasing,
     closed_form_figures,
     exciton_dephasing_factor,
     spin_decoherence_factor,

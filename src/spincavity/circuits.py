@@ -771,13 +771,13 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
     maps from the input ``source`` to ``pre`` and on from each post-measurement state,
     or where the readout prunes a ket."""
     kets = _product_kets(program.in_modes, program.spin)
-    path, key, position, n, shared = [], None, {k: j for j, k in enumerate(kets)}, 0, {}
+    path, key, position, n = [], None, {k: j for j, k in enumerate(kets)}, 0
     while n < len(log) and log[n][0] is source:
         _, edges, source = log[n]
         n += 1
         names = tuple(marks.get(n, ()))
         keep = bool(names) or source is pre
-        step, position = _plan_step(edges, position, slots, keep, names, shared)
+        step, position = _plan_step(edges, position, slots, keep, names)
         path.append((key, step))
         key = None if len(source) == len(position) else tuple(
             j for j, k in enumerate(position) if k in source._amps
@@ -795,7 +795,7 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
             while len(source) == len(position) and n < len(log) and log[n][0] is source:
                 _, edges, source = log[n]
                 n += 1
-                step, position = _plan_step(edges, position, slots, False, (), shared)
+                step, position = _plan_step(edges, position, slots, False, ())
                 steps.append(step)
             if not len(source) == len(position) == len(out):
                 return None
@@ -805,11 +805,10 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
     return path if n == len(log) else None
 
 
-def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple, shared: dict):
+def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple):
     """Logged edges as a :class:`_Step` over the kets ``position`` numbers, and the
     numbering of the step's output kets. Equal constants share an index (keyed
-    with their sign, so 0.0 and -0.0 stay apart), and equal edges one tuple from
-    ``shared``, which keeps a path about a fifth smaller."""
+    with their sign, so 0.0 and -0.0 stay apart)."""
     outputs, plan, constants, ket = {}, [], {}, None
     for given, out, coeff in edges:
         if given is not ket:  # a ket's edges come together
@@ -818,8 +817,7 @@ def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple, shar
             index = coeff.index
         else:
             index = constants.setdefault((coeff, math.copysign(1.0, coeff)), slots + len(constants))
-        edge = (source, outputs.setdefault(out, len(outputs)), index)
-        plan.append(shared.setdefault(edge, edge))
+        plan.append((source, outputs.setdefault(out, len(outputs)), index))
     kets = tuple(outputs) if keep else None
     return _Step(tuple(plan), len(outputs), tuple(c for c, _ in constants), kets, marks), outputs
 
@@ -932,13 +930,9 @@ _GENERIC_POINTS = (
 #: reaches; the generic stand-ins keep every component large.
 _GENERIC_QUBITS = (QubitState(0.6, 0.8), QubitState(0.8, 0.6), QubitState(0.28, 0.96))
 
-#: Scatter tables isolating the parts of a cavity pass: the bypass (all
-#: magnitudes zero), then one unit magnitude each, in ``magnitudes`` order.
-#: A unit table still carries the bypass, which is subtracted out.
-_PART_TABLES = tuple(
-    realistic_scatter(ScatterCoeffs(*unit))
-    for unit in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-)
+#: The eight magnitudes of the generic points, pairwise distinct and none 1.0,
+#: so a cavity pass's logged edge names its part by its magnitude.
+_GENERIC_MAGNITUDES = tuple(m for c in _GENERIC_POINTS for m in c.magnitudes)
 
 
 class _Monomials(NamedTuple):
@@ -1053,23 +1047,25 @@ def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
     return vector if vector.imag.any() else vector.real
 
 
-def _image_matrix(
-    step, kets: Sequence[BasisKet], index: dict[BasisKet, int], table: ScatterTable | None
-) -> np.ndarray:
-    """One step's matrix from single-ket images, restricted to the next support.
+def _edge_matrix(log: list, kets: Sequence[BasisKet], index: dict[BasisKet, int], cavity: bool):
+    """One step's matrix onto the next support, from the edges both generic runs logged.
 
-    Image kets outside the support are dropped: in the gate's runs they
-    cancel by interference between kets, which one ket alone cannot show.
-    Every element and scatter amplitude is real, so the matrix is too.
+    Edges to kets outside the support are dropped: in the gate's runs they
+    cancel by interference. A fixed element's entries are its coefficients. A
+    pass stacks its bypass (coefficient 1.0) and one part per magnitude, each
+    entry the sign of an edge whose magnitude names the part.
     """
-    matrix = np.zeros((len(index), len(kets)))
-    for column, ket in enumerate(kets):
-        for out, amp in _apply(step, StateVector({ket: 1.0}), table).items():
-            row = index.get(out)
-            if row is not None:
-                if amp.imag:
-                    raise StructureError(f"complex amplitude {amp} in a compiled step")
-                matrix[row, column] = amp.real
+    column = {ket: j for j, ket in enumerate(kets)}
+    matrix = np.zeros((5, len(index), len(kets)) if cavity else (len(index), len(kets)))
+    for _, edges, _ in log:
+        for ket, out, coeff in edges:
+            if (row := index.get(out)) is None:
+                continue
+            if cavity:
+                part = 0 if coeff == 1.0 else 1 + _GENERIC_MAGNITUDES.index(abs(coeff)) % 4
+                matrix[part, row, column[ket]] = math.copysign(1.0, coeff)
+            else:
+                matrix[row, column[ket]] = coeff
     return matrix
 
 
@@ -1089,9 +1085,9 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     """Compile ``gate`` on ``inputs`` once, with the dict engine as the compiler.
 
     Runs at the generic points, on inputs whose superposed qubits are
-    replaced by generic ones, record every stage's support and perform every
-    structural check (routing collisions, incomplete maps, switch schedules,
-    readout). The polynomials must reproduce those runs to 1e-12.
+    replaced by generic ones, log every step's edges and support and perform
+    every structural check (routing collisions, incomplete maps, switch
+    schedules, readout). The polynomials must reproduce those runs to 1e-12.
     """
     program = _PROGRAMS[gate]
     ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
@@ -1104,24 +1100,24 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     passes: list[np.ndarray] = []
     fold = None  # fixed elements since the last pass
     kets: list[BasisKet] = []
-    # The generic runs advance together, so one stage's support is held at a time.
-    for (step, state), (_, other) in zip(*generic_runs):
-        if isinstance(step, str):
-            continue
-        next_kets = sorted(set(state.kets()).union(other.kets()))
-        index = {ket: i for i, ket in enumerate(next_kets)}
-        if step is None:
-            initial = _dense(_input_state(program, inputs), index)
-            generic_initial = _dense(state, index)
-        elif isinstance(step, CavityPass):
-            parts = np.stack([_image_matrix(step, kets, index, table) for table in _PART_TABLES])
-            parts[1:] -= parts[0]
-            passes.append(parts if fold is None else parts @ fold)
-            fold = None
-        else:
-            matrix = _image_matrix(step, kets, index, None)
-            fold = matrix if fold is None else matrix @ fold
-        kets = next_kets
+    # The generic runs advance together and log one step's edges at a time.
+    with recording(log := []):
+        for (step, state), (_, other) in zip(*generic_runs):
+            if isinstance(step, str):
+                continue
+            next_kets = sorted(set(state.kets()).union(other.kets()))
+            index = {ket: i for i, ket in enumerate(next_kets)}
+            if step is None:
+                initial = _dense(_input_state(program, inputs), index)
+                generic_initial = _dense(state, index)
+            else:  # a cavity pass closes the fold of the fixed elements before it
+                matrix = _edge_matrix(log, kets, index, isinstance(step, CavityPass))
+                fold = matrix if fold is None else matrix @ fold
+                if isinstance(step, CavityPass):
+                    passes.append(fold)
+                    fold = None
+            kets = next_kets
+            log.clear()
     finals = (state, other)
     for final in finals:
         _finish(final, program.feed_forward, [])

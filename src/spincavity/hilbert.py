@@ -279,23 +279,6 @@ class StateVector:
         return f"StateVector({terms}{more})"
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; photon tuples concatenate, at most one factor owns the spin."""
-    if a.has_spin and b.has_spin:
-        raise StructureError("both factors carry a spin subsystem")
-    amps: dict[BasisKet, complex] = {}
-    for ket_a, amp_a in a.items():
-        for ket_b, amp_b in b.items():
-            spin = ket_a.spin if ket_a.spin is not None else ket_b.spin
-            ket = BasisKet(ket_a.photons + ket_b.photons, spin)
-            amps[ket] = amps.get(ket, 0j) + amp_a * amp_b
-    return StateVector(
-        amps,
-        photon_count=a.photon_count + b.photon_count,
-        has_spin=a.has_spin or b.has_spin,
-    )
-
-
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """⟨a|b⟩, conjugate-linear in the first argument."""
     if a.photon_count != b.photon_count or a.has_spin != b.has_spin:

@@ -125,21 +125,6 @@ def exciton_dephasing_factor(params: DecoherenceParams) -> float:
     return 1.0 - math.exp(-params.tau / params.t2)
 
 
-def apply_exciton_dephasing(
-    fidelity: float, params: DecoherenceParams, interpretation: str = "amount"
-) -> float:
-    """Fold the exciton factor into a fidelity under the chosen reading.
-
-    ``"amount"``: fidelity * (1 - factor); ``"factor"``: fidelity * factor.
-    """
-    factor = exciton_dephasing_factor(params)
-    if interpretation == "amount":
-        return fidelity * (1.0 - factor)
-    if interpretation == "factor":
-        return fidelity * factor
-    raise ValueError(f"unknown interpretation {interpretation!r}")
-
-
 def trion_density_matrix(t: float, t2: float) -> np.ndarray:
     """Spin density matrix after trion dephasing of an equal superposition.
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincavity import cli
+from spincavity import circuits, cli
 from spincavity.cavity import CavityParams, InvalidCoefficientError, ScatterCoeffs, coefficients
 from spincavity.circuits import (
     QUBIT_PLUS,
@@ -24,6 +24,7 @@ from spincavity.circuits import (
     Gate,
     GateMode,
     QubitState,
+    _GENERIC_POINTS,
     _compile,
     _run,
     gate_figures,
@@ -176,6 +177,35 @@ def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_se
         assert abs(figures.survival - survival) <= TOL
         assert abs(figures.per_branch_averaged * figures.survival - per_branch * survival) <= TOL
         assert abs(figures.pre_measurement * figures.survival - pre * survival) <= TOL
+
+
+def test_generic_magnitudes_name_the_parts_of_a_pass():
+    # The compiler reads which part of a cavity pass a logged edge belongs to
+    # from the edge's magnitude, and the bypass from the coefficient 1.0.
+    magnitudes = [m for coeffs in _GENERIC_POINTS for m in coeffs.magnitudes]
+    assert len(set(magnitudes)) == len(magnitudes) == 8
+    assert 1.0 not in magnitudes
+
+
+#: On resonance (|t| + |r| = |t0| + |r0| = 1) amplitudes cancel between kets.
+RESONANT_POINTS = (ScatterCoeffs(t=0.3, r=0.7, t0=0.6, r0=0.4), ScatterCoeffs(t=0.2, r=0.8, t0=0.9, r0=0.1))
+
+
+@pytest.mark.parametrize("points", [(RESONANT_POINTS[0], _GENERIC_POINTS[0]), RESONANT_POINTS])
+@pytest.mark.parametrize("gate", list(Gate))
+def test_compiles_where_the_generic_runs_cancel_kets(monkeypatch, gate, points):
+    # At a resonant first point the kets that cancel there, and the edges out
+    # of them, come from the second run alone. At two resonant points the
+    # fixed elements log edges into kets that both runs cancel, which the
+    # compiler drops. Either way the gate agrees with the dict engine on
+    # resonance.
+    monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
+    monkeypatch.setattr(circuits, "_GENERIC_MAGNITUDES", tuple(m for c in points for m in c.magnitudes))
+    _compile.cache_clear()
+    try:
+        assert_agrees(gate, (QUBIT_PLUS,) * ARITY[gate], coefficients(CavityParams(g=2.4, kappa_s=0.5)))
+    finally:
+        _compile.cache_clear()
 
 
 def test_input_amplitude_near_the_pruning_threshold():

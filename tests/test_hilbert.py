@@ -28,7 +28,6 @@ from spincavity.hilbert import (
     inner_product,
     measure_spin,
     serialize,
-    tensor,
 )
 from conftest import allclose, equal_up_to_global_phase, lincomb, random_state, scatter_as_sited_map
 
@@ -44,43 +43,6 @@ def photon(pol, prop=DN_Z, mode=0):
 
 def ket(*photons, spin=None):
     return BasisKet(tuple(photons), spin)
-
-
-def spin_only(spin):
-    return StateVector.from_ket(BasisKet((), spin))
-
-
-class TestTensor:
-    def test_basis_product(self):
-        a = StateVector.from_ket(ket(photon(R)))
-        b = spin_only(DOWN)
-        out = tensor(a, b)
-        assert out.amplitude(ket(photon(R), spin=DOWN)) == 1.0
-
-    def test_distributes_over_superposition(self):
-        a = StateVector({ket(photon(R)): S2, ket(photon(L)): S2})
-        out = tensor(a, spin_only(DOWN))
-        assert abs(out.amplitude(ket(photon(R), spin=DOWN)) - S2) < 1e-12
-        assert abs(out.amplitude(ket(photon(L), spin=DOWN)) - S2) < 1e-12
-
-    def test_two_photons_and_spin(self):
-        control = StateVector({ket(photon(R, mode=0)): S2, ket(photon(L, mode=0)): S2})
-        target = StateVector({ket(photon(R, mode=1)): S2, ket(photon(L, mode=1)): S2})
-        out = tensor(tensor(control, target), spin_only(DOWN))
-        assert len(out) == 4
-        for k, amp in out.items():
-            assert k.spin is DOWN
-            assert abs(amp - 0.5) < 1e-12
-
-    def test_norm_multiplies(self, rng):
-        a = random_state(rng, [[0]], with_spin=False).scaled(0.8)
-        b = random_state(rng, [[1]], with_spin=True).scaled(0.9)
-        out = tensor(a, b)
-        assert abs(out.norm() - a.norm() * b.norm()) < 1e-12
-
-    def test_two_spins_rejected(self):
-        with pytest.raises(StructureError):
-            tensor(spin_only(DOWN), spin_only(UP))
 
 
 class TestInnerProduct:

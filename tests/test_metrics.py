@@ -16,7 +16,6 @@ import pytest
 from spincavity.cavity import CavityParams, ScatterCoeffs, coefficients
 from spincavity.metrics import (
     DecoherenceParams,
-    apply_exciton_dephasing,
     closed_form_figures,
     exciton_dephasing_factor,
     spin_decoherence_factor,
@@ -149,14 +148,6 @@ class TestExcitonDephasing:
     def test_fast_cavity_regime(self):
         factor = exciton_dephasing_factor(DecoherenceParams(tau=10.0, t2=100.0))
         assert abs(factor - 0.09516258196404048) < 1e-12
-
-    def test_both_interpretations(self):
-        params = DecoherenceParams(tau=10.0, t2=100.0)
-        factor = exciton_dephasing_factor(params)
-        assert abs(apply_exciton_dephasing(0.9, params, "amount") - 0.9 * (1 - factor)) < 1e-15
-        assert abs(apply_exciton_dephasing(0.9, params, "factor") - 0.9 * factor) < 1e-15
-        with pytest.raises(ValueError):
-            apply_exciton_dephasing(0.9, params, "other")
 
 
 class TestTrionDensityMatrix:
