@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -292,16 +292,15 @@ def cmd_simulate(args, out: TextIO) -> int:
             parse_qubit(args.target),
             mode,
         )
-    out.write(f"gate {args.gate}\n")
-    out.write(f"mode {args.mode}\n")
+    lines = [f"gate {args.gate}", f"mode {args.mode}"]
     if args.trace:
         for name, state in result.trace:
-            out.write(f"trace {name}\n")
-            out.write(serialize(state) + "\n")
-    out.write(f"survival {_fmt(result.survival)}\n")
+            lines += ("trace " + name, serialize(state))
+    lines.append("survival %.17g" % result.survival)
     for branch in result.branches:
-        out.write(f"branch {branch.outcome.token} probability {_fmt(branch.probability)}\n")
-        out.write(serialize(branch.state) + "\n")
+        lines.append("branch %s probability %.17g" % (branch.outcome.token, branch.probability))
+        lines.append(serialize(branch.state))
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -416,7 +415,6 @@ def build_parser() -> _Parser:
     sim_p.add_argument("--mode", choices=("ideal", "realistic"), default="ideal")
     sim_p.add_argument("--trace", action="store_true", help="print named staged states")
     _add_cavity_flags(sim_p)
-    parser.simulate_flags = tuple(sim_p._option_string_actions)
 
     tt_p = sub.add_parser("truth-table", help="verify the ideal gate against its oracle")
     tt_p.add_argument("gate", choices=("cnot", "toffoli"))
@@ -450,6 +448,7 @@ def build_parser() -> _Parser:
         "--fidelity", type=float, default=None, help="fidelity to adjust in the report"
     )
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -484,7 +483,7 @@ def _expand_config(argv: list[str]) -> list[str]:
 _QUBIT_FLAGS = ("--control", "--control2", "--target")
 
 
-def _resolve_flag(token: str, flags: Sequence[str]) -> str:
+def _resolve_flag(token: str, flags: Mapping[str, object]) -> str:
     """The flag ``token`` names as argparse reads it: exactly, or as the one flag it abbreviates."""
     if token in flags or not token.startswith("--"):
         return token
@@ -492,22 +491,36 @@ def _resolve_flag(token: str, flags: Sequence[str]) -> str:
     return matches[0] if len(matches) == 1 else token
 
 
-def _attach_qubit_tokens(argv: list[str]) -> list[str]:
-    """Join ``--target -0.6j:0.8`` into ``--target=-0.6j:0.8`` for ``simulate``.
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--target -0.6j:0.8`` into ``--target=-0.6j:0.8``, and ``--delta-x -1e3``
+    into ``--delta-x=-1e3``.
 
     argparse reads a separate token that starts with ``-`` and is not a plain
-    number as an option. A token holding ``:`` is an ``alpha:beta`` pair,
-    never an option, so it is attached to the qubit flag before it, named in
-    full or by a unique prefix; a bare ``-`` already parses as the minus
-    state. An ambiguous prefix is left for argparse to report.
+    number as an option. A token holding ``:`` is an ``alpha:beta`` pair, and
+    one that ``float`` reads is a number; neither is an option, so it is
+    attached to the qubit or numeric flag before it, named in full or by a
+    unique prefix. A bare ``-`` already parses as the minus state. An
+    ambiguous prefix is left for argparse to report.
     """
-    if argv[:1] != ["simulate"]:
+    parser = build_parser().commands.get(argv[0]) if argv else None
+    if parser is None:
         return argv
-    flags = build_parser().simulate_flags
+    actions = parser._option_string_actions
     joined: list[str] = []
     for token in argv:
-        pair = token.startswith("-") and ":" in token
-        if pair and joined and _resolve_flag(joined[-1], flags) in _QUBIT_FLAGS:
+        action = token.startswith("-") and joined and actions.get(_resolve_flag(joined[-1], actions))
+        if action and (
+            _is_float(token) if action.type in (float, int)
+            else ":" in token and action.option_strings[0] in _QUBIT_FLAGS
+        ):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -523,11 +536,25 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one pass over a named command's flags.
+
+    The top-level parser hands a command's tokens to that command's parser,
+    so calling it directly gives the same namespace, errors and help. The
+    top-level parser runs only to report no command, an unknown one, or its
+    own help.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _attach_qubit_tokens(_expand_config(argv))
-        args = build_parser().parse_args(argv)
+        args = _parse_args(_attach_dash_values(_expand_config(argv)))
         out_path = getattr(args, "out", None)
         if not out_path:
             code = _COMMANDS[args.command](args, sys.stdout)

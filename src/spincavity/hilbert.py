@@ -155,9 +155,13 @@ class BasisKet(NamedTuple):
 
     @property
     def token(self) -> str:
-        photon_part = ",".join(map(_label_token, self.photons))
-        spin_part = "-" if self.spin is None else self.spin.token
-        return f"{photon_part} | {spin_part}"
+        return _ket_token(self)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ket_token(ket: BasisKet) -> str:
+    photons, spin = ket
+    return f"{','.join(map(_label_token, photons))} | {'-' if spin is None else spin.token}"
 
 
 #: Builds a ket from its (photons, spin) pair without a Python-level call.
@@ -443,7 +447,7 @@ def serialize(state: StateVector) -> str:
     byte for byte; amplitudes carry 17 significant digits.
     """
     return "\n".join([
-        f"{ket.token} : {amp.real:.17g},{amp.imag:.17g}" for ket, amp in state.items()
+        "%s : %.17g,%.17g" % (_ket_token(ket), amp.real, amp.imag) for ket, amp in state.items()
     ])
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from spincavity.cavity import CavityParams, coefficients
+from spincavity import cli
 from spincavity.cli import (
+    ALL_OUTPUTS,
     ConfigError,
     SweepRange,
     SweepSpec,
@@ -220,6 +224,145 @@ class TestSimulate:
         q = parse_qubit("0.6:0.8j")
         assert abs(q.alpha - 0.6) < 1e-12
         assert abs(q.beta - 0.8j) < 1e-12
+
+
+class TestDashLedNumbers:
+    """``--flag -1e3`` reads as ``--flag=-1e3`` wherever the flag takes a number."""
+
+    @pytest.mark.parametrize("split,joined", [
+        (["coeffs", "--delta-x", "-1e3"], ["coeffs", "--delta-x=-1e3"]),
+        (["coeffs", "--delta-c", "-.5E1", "--delta-x", "-1e3"], ["coeffs", "--delta-c=-.5E1", "--delta-x=-1e3"]),
+        (["coeffs", "--delta-x", "-inf"], ["coeffs", "--delta-x=-inf"]),
+        (["coeffs", "--kap", "-1e-300"], ["coeffs", "--kap=-1e-300"]),
+        (
+            ["simulate", "cnot", "--control", "+", "--target", "R", "--mode", "realistic", "--g", "-2e0"],
+            ["simulate", "cnot", "--control", "+", "--target", "R", "--mode", "realistic", "--g=-2e0"],
+        ),
+        (["sweep", "--g-steps", "-1e3"], ["sweep", "--g-steps=-1e3"]),
+        (["sweep", "--g-min", "-1e-3"], ["sweep", "--g-min=-1e-3"]),
+        (["decoherence", "--fidelity", "-1e-1"], ["decoherence", "--fidelity=-1e-1"]),
+    ])
+    def test_value_may_follow_its_flag(self, capsys, split, joined):
+        assert run_cli(capsys, *split) == run_cli(capsys, *joined)
+
+    def test_detuned_coefficients_from_a_separate_token(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--delta-x", "-1e3")
+        assert (code, err) == (0, "")
+        assert out.startswith("t -0.99996653552963 0.0057598055714271502\n")
+
+    def test_negative_infinity_names_the_parameter(self, capsys):
+        assert run_cli(capsys, "coeffs", "--delta-x", "-inf") == (
+            1, "", "error: delta_x must be finite, got -inf\n"
+        )
+
+    def test_config_line(self, capsys, tmp_path):
+        config = tmp_path / "detuned.cfg"
+        config.write_text("delta_x = -1e3\ng = -2e0\n")
+        assert run_cli(capsys, "coeffs", "--config", str(config)) == run_cli(
+            capsys, "coeffs", "--delta-x=-1e3", "--g=-2e0"
+        )
+        config.write_text("delta_x = -1e3\n")
+        assert run_cli(capsys, "coeffs", "--config", str(config))[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--g", "--gamma", "0.2"],  # a flag, not a number
+        ["coeffs", "--g", "-1:0"],  # a qubit token after a numeric flag
+        ["sweep", "--outputs", "-1e3"],  # a number after a text flag
+    ])
+    def test_other_dash_led_tokens_stay_options(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (1, "", f"error: argument {argv[1]}: expected one argument\n")
+
+    def test_ambiguous_prefix_left_to_argparse(self, capsys):
+        assert run_cli(capsys, "coeffs", "--delta", "-1e3") == (
+            1, "", "error: ambiguous option: --delta could match --delta-c, --delta-x\n"
+        )
+
+
+def one_parse_corpus(tmp_path: Path) -> list[list[str]]:
+    """argv lists over every command and flag, abbreviations, config files, errors and help."""
+    coeffs_config = tmp_path / "coeffs.cfg"
+    coeffs_config.write_text("g = 1.5\ndelta_x = -1e3\n")
+    sweep_config = tmp_path / "sweep.cfg"
+    sweep_config.write_text("g_steps = 2\nks-steps = 3\noutputs = f_cnot,sim_eta_cnot\n")
+    decoherence = ["--t2e", "2000", "--dt", "4", "--tau", "9", "--t2", "90"]
+    return [
+        # every command with defaults only, then with every flag
+        ["coeffs"],
+        ["simulate", "cnot", "--control", "+", "--target", "R"],
+        ["truth-table", "cnot"],
+        ["sweep"],
+        ["decoherence"],
+        ["coeffs", "--g", "1.2", "--kappa-s", "0.3", "--gamma", "0.2", "--delta-c", "0.1", "--delta-x", "-0.2"],
+        [
+            "simulate", "toffoli", "--control", "0.6:0.8j", "--control2", "-", "--target", "-0.8:0.6",
+            "--mode", "realistic", "--trace", "--g", "2.4", "--kappa-s", "0.5", "--gamma", "0.2",
+        ],
+        ["truth-table", "toffoli"],
+        [
+            "sweep", "--g-min", "0.5", "--g-max", "2", "--g-steps", "2", "--ks-min", "0",
+            "--ks-max", "0.5", "--ks-steps", "2", "--gamma", "0.2", "--outputs", ",".join(ALL_OUTPUTS),
+            "--sim-convention", "pre-measurement", "--decohere", "spin,exciton-factor",
+            "--format", "json", "--out", str(tmp_path / "sweep.json"), *decoherence,
+        ],
+        ["decoherence", *decoherence, "--fidelity", "0.9"],
+        # abbreviated flags and config files
+        ["coeffs", "--kap", "0.2", "--delta-x", "1e3", "--gam", "0.3"],
+        ["simulate", "cnot", "--control", "+", "--targ", "-1:0", "--mo", "realistic", "--tr", "--kap", "0.1"],
+        ["sweep", "--g-st", "2", "--ks-st", "2", "--form", "json"],
+        ["coeffs", "--config", str(coeffs_config), "--gamma", "0.3"],
+        ["sweep", "--config", str(sweep_config)],
+        # no command, an unknown one, extra arguments, a missing flag, bad values
+        [],
+        ["bogus"],
+        ["-x"],
+        ["coeffs", "extra"],
+        ["truth-table", "cnot", "extra", "--more"],
+        ["simulate", "cnot", "--control", "+"],
+        ["simulate", "cnot", "--control", "+", "--target", "R", "--mode"],
+        ["simulate", "swap", "--control", "+", "--target", "R"],
+        ["truth-table", "xor"],
+        ["sweep", "--format", "xml"],
+        ["coeffs", "--g", "abc"],
+        ["sweep", "--g-steps", "2.5"],
+        ["coeffs", "--delta", "1"],
+        # help
+        ["simulate", "-h"],
+        ["-h"],
+        ["sweep", "--he"],
+    ]
+
+
+def run_parsed(monkeypatch, parse, argv, tmp_path):
+    """``main(argv)`` with ``parse`` as its parser: exit, stdout, stderr, namespaces, file written."""
+    namespaces = []
+
+    def recording(tokens):
+        namespace = parse(tokens)
+        namespaces.append(vars(namespace))
+        return namespace
+
+    monkeypatch.setattr(cli, "_parse_args", recording)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # help
+            code = ("exit", exc.code)
+    written = tmp_path / "sweep.json"
+    text = written.read_text(encoding="utf-8") if written.exists() else None
+    written.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), namespaces, text
+
+
+def test_one_parse_matches_the_top_level_parse(monkeypatch, tmp_path):
+    one_parse = cli._parse_args
+    codes = []
+    for argv in one_parse_corpus(tmp_path):
+        once = run_parsed(monkeypatch, one_parse, argv, tmp_path)
+        twice = run_parsed(monkeypatch, lambda tokens: cli.build_parser().parse_args(tokens), argv, tmp_path)
+        assert once == twice, argv
+        codes.append(once[0])
+    assert codes.count(0) == 15 and codes.count(1) == 13 and codes.count(("exit", 0)) == 3
 
 
 class TestTruthTable:

@@ -267,6 +267,64 @@ def states(draw):
     return StateVector({k: v / norm for k, v in amps.items()})
 
 
+def reference_serialize(state: StateVector) -> str:
+    """The serialization format as first written: one f-string per sorted ket."""
+    def token(ket):
+        photons = ",".join(
+            f"{p.polarization.name}/{'u' if p.propagation is UP_Z else 'd'}/{p.mode}"
+            for p in ket.photons
+        )
+        return f"{photons} | {'-' if ket.spin is None else 'ud'[ket.spin]}"
+
+    return "\n".join(f"{token(k)} : {v.real:.17g},{v.imag:.17g}" for k, v in sorted(state._amps.items()))
+
+
+#: Amplitude parts where formatting could go wrong: signed zeros, subnormals,
+#: the least normal, and the doubles next to one.
+EDGE_PARTS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 2.2250738585072014e-308,
+    1.0, -1.0, 0.9999999999999999, -0.9999999999999999, 1.0000000000000002, 1e-12,
+)
+
+
+@st.composite
+def edge_states(draw):
+    """States of random structure whose amplitude parts favour :data:`EDGE_PARTS`.
+
+    Built without the constructor's pruning and norm cap: serialization
+    formats whatever amplitudes a state holds.
+    """
+    photon_count = draw(st.integers(0, 3))
+    has_spin = draw(st.booleans())
+    labels = st.builds(
+        PhotonLabel, st.sampled_from(Polarization), st.sampled_from(Propagation), st.integers(0, 12)
+    )
+    kets = st.builds(
+        BasisKet, st.tuples(*[labels] * photon_count),
+        st.sampled_from(SpinBasis) if has_spin else st.none(),
+    )
+    parts = st.one_of(
+        st.sampled_from(EDGE_PARTS), st.floats(-1.0, 1.0), st.floats(-1e-307, 1e-307),
+    )
+    amps = draw(st.dictionaries(kets, st.builds(complex, parts, parts), max_size=8))
+    return StateVector._checked(amps, photon_count, has_spin)
+
+
+class TestSerializeFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_states())
+    def test_matches_the_reference_format(self, state):
+        assert serialize(state) == reference_serialize(state)
+
+    def test_edge_parts_keep_their_signs_and_digits(self):
+        state = StateVector._checked(
+            {ket(photon(R)): complex(-0.0, 5e-324), ket(photon(L)): complex(0.9999999999999999, -0.0)},
+            1, False,
+        )
+        assert serialize(state) == "R/d/0 | - : -0,4.9406564584124654e-324\nL/d/0 | - : 0.99999999999999989,-0"
+        assert serialize(state) == reference_serialize(state)
+
+
 class TestOrderProperties:
     @settings(max_examples=200, deadline=None)
     @given(states())

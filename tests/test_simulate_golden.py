@@ -5,17 +5,23 @@ a change in summation order; these files can. Each file holds the exact
 stdout of one command, recorded before the dict engine's kets became
 tuples. ``cli.main`` is also driven several times in one process, to show
 that the parser it reuses carries no state from one call to the next.
+The stdout of 300 seeded commands is pinned by its sha256, recorded before
+ket tokens were cached and before ``main`` parsed a command once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import math
+import random
 
 import pytest
 
 from conftest import GOLDEN_DIR
 from spincavity import cli
+from spincavity.hilbert import _ket_token
 
 REALISTIC = ("--mode", "realistic")
 
@@ -91,6 +97,14 @@ def test_simulate_bytes_match_golden(name):
     assert out == expected
 
 
+def test_ket_token_cache_stays_bounded():
+    for argv in COMMANDS.values():
+        run_main(argv)
+    info = _ket_token.cache_info()
+    assert info.maxsize == 1024
+    assert 0 < info.currsize <= info.maxsize
+
+
 def test_reused_parser_leaks_no_state(tmp_path):
     out_path = tmp_path / "sweep.csv"
     sequence = [
@@ -116,3 +130,54 @@ def test_reused_parser_leaks_no_state(tmp_path):
     for argv in (sequence[0], sequence[1], sequence[4]):
         parsed = vars(cli.build_parser().parse_args(argv))
         assert parsed == vars(cli.build_parser.__wrapped__().parse_args(argv))
+
+
+def seeded_commands(seed: int, count: int) -> list[list[str]]:
+    """``simulate --trace`` argv lists over both gates and both modes, with
+    random ``alpha:beta`` qubits, about half of them dash-led.
+
+    Amplitudes are normalized with a square root only, which rounds the same
+    on every platform, so the argv lists do too.
+    """
+    rng = random.Random(seed)
+
+    def qubit() -> str:
+        if rng.random() < 0.15:
+            return rng.choice(("R", "L", "+", "-"))
+        parts = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        norm = math.sqrt(sum(part * part for part in parts))
+        alpha, beta = complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm
+        return f"{repr(alpha).strip('()')}:{repr(beta).strip('()')}"
+
+    commands = []
+    for _ in range(count):
+        gate = rng.choice(("cnot", "toffoli"))
+        flags = ("--control", "--control2", "--target") if gate == "toffoli" else ("--control", "--target")
+        argv = ["simulate", gate, "--trace"]
+        for flag in flags:
+            token = qubit()
+            argv += [f"{flag}={token}"] if rng.random() < 0.25 else [flag, token]
+        if rng.random() < 0.5:
+            argv += ["--mode", "realistic", "--g", repr(rng.uniform(0.3, 5.0))]
+            argv += ["--kappa-s", repr(rng.uniform(0.0, 1.0))]
+            if rng.random() < 0.3:
+                argv += ["--gamma", repr(rng.uniform(0.01, 0.5))]
+        commands.append(argv)
+    return commands
+
+
+#: sha256 of the concatenated stdout of ``seeded_commands(2026, 300)``.
+SEEDED_STDOUT_SHA256 = "4d0cafcceabbc34464022eca8b53387b5545a3ed74015f48981512bff7aa8149"
+
+
+def test_seeded_commands_print_pinned_bytes():
+    """Run in one process, the commands take both the interpreted and the replayed path."""
+    commands = seeded_commands(2026, 300)
+    dash_led = [token for argv in commands for token in argv if token[:1] == "-" != token[1:2]]
+    assert sum(":" in token for token in dash_led) > 100
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == SEEDED_STDOUT_SHA256
