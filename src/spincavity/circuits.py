@@ -29,7 +29,7 @@ amplitude riding along to the output (fidelity).
 Each gate is written once, as a sequence of steps. The dict engine
 interprets it for single runs, recording runs of a kind that repeats as step
 plans that later runs replay bit for bit, and also compiles it into
-polynomials in the coefficient magnitudes for :func:`gate_figures_many`,
+polynomials in the coefficient magnitudes for :func:`stacked_figures`,
 which evaluates fidelities and survival over batches of cavity parameters
 without rerunning the circuit.
 """
@@ -938,10 +938,11 @@ _GENERIC_MAGNITUDES = tuple(m for c in _GENERIC_POINTS for m in c.magnitudes)
 class _Monomials(NamedTuple):
     """Every monomial in (|t|, |r|, |t0|, |r0|) up to a degree.
 
-    ``powers[v, m]`` is the row holding magnitude ``v`` to its power in
-    monomial ``m``, in a table of powers laid out exponent-major, so one
-    ``take`` and a product over the magnitudes give every monomial; the
-    constant monomial comes first. ``shifts[v]`` maps each monomial below
+    The monomials run by degree, each degree's in one fixed order, so those
+    of a lower degree are a prefix of these. ``powers[v, m]`` is the row
+    holding magnitude ``v`` to its power in monomial ``m``, in a table of
+    powers laid out exponent-major, so one ``take`` and a product over the
+    magnitudes give every monomial. ``shifts[v]`` maps each monomial below
     the top degree to its product with magnitude ``v``.
     """
 
@@ -952,13 +953,10 @@ class _Monomials(NamedTuple):
 
 @functools.cache
 def _monomials(degree: int) -> _Monomials:
-    exponents = [
-        (a, b, c, d)
-        for a in range(degree + 1)
-        for b in range(degree + 1 - a)
-        for c in range(degree + 1 - a - b)
-        for d in range(degree + 1 - a - b - c)
-    ]
+    exponents = sorted(
+        (e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree),
+        key=lambda e: (sum(e), e),
+    )
     position = {e: i for i, e in enumerate(exponents)}
     lower = [e for e in exponents if sum(e) < degree]
     shifts = tuple(
@@ -994,20 +992,22 @@ def _propagate(initial: np.ndarray, passes, tail: np.ndarray | None, monomials: 
 
 
 class _CompiledGate(NamedTuple):
-    """One gate on fixed inputs as polynomials in the four magnitudes.
+    """Gates on fixed inputs as polynomials in the four magnitudes.
 
     Row ``i`` of ``coeffs`` holds the coefficients of one amplitude over
-    ``monomials``. The rows are every pass's state in turn, then the
-    pre-readout state, then three overlaps: of the up and the down branch,
-    after feed-forward, with the ideal output, and of the pre-readout state
-    with the ideal one. ``totals`` sums squared moduli of those rows into
-    every pass's squared norm, each spin outcome's weight at the readout,
-    and the three squared overlaps.
+    ``monomials``. A gate's amplitudes are every pass's state in turn, then
+    the pre-readout state, then three overlaps: of the up and the down
+    branch, after feed-forward, with the ideal output, and of the
+    pre-readout state with the ideal one, less the rows :func:`_fold` drops.
+    ``totals`` sums squared moduli of the rows into every pass's squared
+    norm, each spin outcome's weight at the readout, and the three squared
+    overlaps, for each gate in turn; ``blocks`` holds each gate's count.
     """
 
     coeffs: np.ndarray
     monomials: _Monomials
     totals: np.ndarray
+    blocks: tuple[int, ...]
 
     def amplitudes(self, magnitudes: np.ndarray) -> np.ndarray:
         """Every row's value at each column of ``magnitudes``, shape (4, points)."""
@@ -1018,22 +1018,24 @@ class _CompiledGate(NamedTuple):
         terms = table.reshape(-1, magnitudes.shape[1]).take(self.monomials.powers, axis=0)
         return self.coeffs @ terms.prod(axis=0)
 
-    def figures(self, magnitudes: np.ndarray) -> list[SimulatedFigures]:
-        """Figures at each column of ``magnitudes``, failing as the first bad point does."""
-        totals = self.totals @ (np.abs(self.amplitudes(magnitudes)) ** 2)
-        figures = []
-        for *pass_norms, up_weight, down_weight, up, down, pre in totals.T.tolist():
-            if max(pass_norms) > 1.0 + NORM_EPS:
-                norm_sq = next(n for n in pass_norms if n > 1.0 + NORM_EPS)
-                raise StructureError(f"squared norm {norm_sq} exceeds 1 + {NORM_EPS}")
-            survival = up_weight + down_weight
-            if survival <= PRUNE_EPS ** 2:
-                raise DegenerateStateError("cannot measure a zero state")
-            per_branch = (up if up_weight > MIN_BRANCH_WEIGHT else 0.0) + (
-                down if down_weight > MIN_BRANCH_WEIGHT else 0.0
-            )
-            figures.append(SimulatedFigures(per_branch / survival, pre / survival, survival))
-        return figures
+    def figures(self, magnitudes: np.ndarray):
+        """Each gate's figures in turn at each ``magnitudes`` column, failing at its first bad one."""
+        totals = (self.totals @ (np.abs(self.amplitudes(magnitudes)) ** 2)).T.tolist()
+        for start, stop in itertools.pairwise(itertools.accumulate(self.blocks, initial=0)):
+            figures = []
+            for point in totals:
+                *pass_norms, up_weight, down_weight, up, down, pre = point[start:stop]
+                if max(pass_norms) > 1.0 + NORM_EPS:
+                    norm_sq = next(n for n in pass_norms if n > 1.0 + NORM_EPS)
+                    raise StructureError(f"squared norm {norm_sq} exceeds 1 + {NORM_EPS}")
+                survival = up_weight + down_weight
+                if survival <= PRUNE_EPS ** 2:
+                    raise DegenerateStateError("cannot measure a zero state")
+                per_branch = (up if up_weight > MIN_BRANCH_WEIGHT else 0.0) + (
+                    down if down_weight > MIN_BRANCH_WEIGHT else 0.0
+                )
+                figures.append(SimulatedFigures(per_branch / survival, pre / survival, survival))
+            yield figures
 
 
 def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
@@ -1078,6 +1080,17 @@ def _readout_row(
             post = feed_forward(StateVector({ket.with_spin(None): 1.0}), outcome, rule)
             row[column] = inner_product(_canonical_photonic(post), reference).conjugate()
     return row
+
+
+def _fold(coeffs: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the first of each group of rows that are equal or negated. Their squared
+    moduli are equal at every point, so a group's columns of ``totals`` add up."""
+    groups, group_of = {}, []
+    for row in coeffs + 0.0:  # + 0.0 turns -0.0 into 0.0
+        key = min(row.tobytes(), (0.0 - row).tobytes())  # one key for a row and its negation
+        group_of.append(groups.setdefault(key, len(groups)))
+    kept = np.unique(group_of, return_index=True)[1]  # each group's first row
+    return coeffs[kept], totals @ np.eye(len(kept))[group_of]
 
 
 @functools.lru_cache(maxsize=64)
@@ -1137,7 +1150,8 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
         start += len(pass_state)
     totals[-5:-3, start:start + len(kets)] = [[ket.spin is o for ket in kets] for o in SpinBasis]
     totals[-3:, -3:] = np.eye(3)
-    compiled = _CompiledGate(coeffs=coeffs, monomials=monomials, totals=totals)
+    coeffs, totals = _fold(coeffs, totals)
+    compiled = _CompiledGate(coeffs, monomials, totals, blocks=(len(totals),))
     del states
     check = compiled._replace(coeffs=_propagate(generic_initial, passes, fold, monomials)[-1])
     pre_readout = check.amplitudes(np.array([c.magnitudes for c in _GENERIC_POINTS]).T)
@@ -1170,6 +1184,50 @@ class SimulatedFigures(NamedTuple):
         return self.per_branch_averaged
 
 
+@functools.lru_cache(maxsize=64)
+def _stack(kinds: tuple[tuple[Gate, tuple[QubitState, ...]], ...]) -> _CompiledGate:
+    """Two or more compiled ``(gate, inputs)`` kinds as one: their rows stacked
+    over the highest degree's monomials, their ``totals`` block-diagonal."""
+    parts = [_compile(gate, inputs) for gate, inputs in kinds]
+    monomials = max((part.monomials for part in parts), key=lambda m: m.degree)
+    width, ends = monomials.powers.shape[1], list(itertools.accumulate(len(p.coeffs) for p in parts))
+    coeffs = np.concatenate([np.pad(p.coeffs, ((0, 0), (0, width - p.coeffs.shape[1]))) for p in parts])
+    totals = np.concatenate([
+        np.pad(p.totals, ((0, 0), (end - len(p.coeffs), ends[-1] - end))) for p, end in zip(parts, ends)
+    ])
+    return _CompiledGate(coeffs, monomials, totals, sum((p.blocks for p in parts), ()))
+
+
+def stacked_figures(
+    kinds: Sequence[tuple[Gate, Sequence[QubitState]]], coeffs_seq: Sequence[ScatterCoeffs]
+) -> list[list[SimulatedFigures]]:
+    """:func:`gate_figures_many` of each ``(gate, inputs)`` kind, from one
+    evaluation; no kinds give no lists.
+
+    Fails as evaluating the kinds one after another would: with the first
+    kind's first failing point, then with invalid magnitudes of a point,
+    then with a later kind's first failing point.
+    """
+    if not kinds:
+        return []
+    magnitudes, invalid = [], None
+    for coeffs in coeffs_seq:
+        try:
+            magnitudes.append(checked_magnitudes(coeffs))
+        except InvalidCoefficientError as exc:
+            invalid = exc
+            break
+    figures = iter([[] for _ in kinds])
+    if magnitudes:
+        keys = tuple((gate, tuple(inputs)) for gate, inputs in kinds)
+        compiled = _compile(*keys[0]) if len(keys) == 1 else _stack(keys)
+        figures = compiled.figures(np.array(magnitudes).T)
+    first = next(figures)
+    if invalid is not None:
+        raise invalid
+    return [first, *figures]
+
+
 def gate_figures_many(
     gate: Gate, inputs: Sequence[QubitState], coeffs_seq: Sequence[ScatterCoeffs]
 ) -> list[SimulatedFigures]:
@@ -1179,19 +1237,7 @@ def gate_figures_many(
     first point that fails, whether its magnitudes are invalid, a pass gains
     norm, or nothing reaches the readout.
     """
-    magnitudes, invalid = [], None
-    for coeffs in coeffs_seq:
-        try:
-            magnitudes.append(checked_magnitudes(coeffs))
-        except InvalidCoefficientError as exc:
-            invalid = exc
-            break
-    figures = []
-    if magnitudes:
-        figures = _compile(gate, tuple(inputs)).figures(np.array(magnitudes).T)
-    if invalid is not None:
-        raise invalid
-    return figures
+    return stacked_figures(((gate, inputs),), coeffs_seq)[0]
 
 
 def gate_figures(

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .cavity import CavityParams, coefficients, resonant_coefficients
+from .cavity import CavityParams, SingularParameterError, coefficients, resonant_coefficients
 from .circuits import (
     FIDELITY_CONVENTIONS,
     Gate,
@@ -35,11 +35,11 @@ from .circuits import (
     QUBIT_R,
     QubitState,
     cnot,
-    gate_figures_many,
     ideal_oracle,
     input_vector,
     output_modes,
     polarization_vector,
+    stacked_figures,
     toffoli,
 )
 from .hilbert import StateError, serialize
@@ -156,8 +156,8 @@ _SIM_COLUMNS = (
 )
 
 
-#: Grid points evaluated together: one batched gate evaluation per sim gate
-#: per chunk. A Toffoli batch holds about 10 KB of temporaries per point, so
+#: Grid points evaluated together: one evaluation of every sim gate per
+#: chunk. A batch holds at most about 10 KB of temporaries per point, so
 #: chunks of 16 keep a sweep's peak memory at the point-by-point level, for a
 #: few milliseconds more per 50x50 grid than larger chunks.
 SWEEP_CHUNK = 16
@@ -186,10 +186,14 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     # fail a gate (magnitudes at most one, contracting passes, nonzero
     # survival), so a failing sweep still reports its first failing point.
     while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
-        chunk_coeffs = [resonant_coefficients(g, ks, gamma, kappa) for g, ks in chunk]
+        try:
+            chunk_coeffs = [resonant_coefficients(g, ks, gamma, kappa) for g, ks in chunk]
+        except SingularParameterError as exc:
+            # The hot-cavity denominator grows with g and kappa_s: the first point fails first.
+            g_min = spec.g_over_kappa.minimum
+            raise ConfigError(f"g_over_kappa = {g_min} with gamma_over_kappa = {gamma}: {exc}") from None
         records = [closed_form_figures(coeffs) for coeffs in chunk_coeffs]
-        for gate, inputs, _, _ in sim_gates:
-            simulated = gate_figures_many(gate, inputs, chunk_coeffs)
+        for simulated in stacked_figures([column[:2] for column in sim_gates], chunk_coeffs):
             records = [
                 record + (figures.fidelity(spec.sim_convention), figures.survival)
                 for record, figures in zip(records, simulated)

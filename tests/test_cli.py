@@ -477,25 +477,30 @@ class TestSweep:
         assert code == 1
         assert "kappa_s_over_kappa" in err
 
-    def test_singular_parameters_exit_internal(self, capsys):
+    def test_singular_parameters_exit_config(self, capsys):
+        # A singular point is a user parameter, not a broken invariant: one
+        # error line naming the parameters, exit 1.
         code, _, err = run_cli(
             capsys,
             "sweep", "--g-min", "0", "--g-max", "1", "--g-steps", "2", "--gamma", "0",
         )
-        assert code == 2
-        assert "invariant" in err
+        assert code == 1
+        assert err == (
+            "error: g_over_kappa = 0.0 with gamma_over_kappa = 0.0: "
+            "hot-cavity denominator magnitude 0.0 below 1e-15\n"
+        )
 
     def test_singular_parameters_write_nothing(self, capsys, tmp_path):
         args = ("sweep", "--g-min", "0", "--g-max", "1", "--g-steps", "2", "--gamma", "0")
         code, out, _ = run_cli(capsys, *args)
-        assert (code, out) == (2, "")
+        assert (code, out) == (1, "")
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, *args, "--out", str(path))
-        assert code == 2
+        assert code == 1
         assert not path.exists()
         path.write_text("kept\n")
         code, _, _ = run_cli(capsys, *args, "--out", str(path))
-        assert code == 2
+        assert code == 1
         assert path.read_text() == "kept\n"
 
     @pytest.mark.parametrize("outputs", ["f_cnot", "f_cnot,sim_f_cnot,sim_eta_toffoli"])

@@ -5,13 +5,17 @@ polynomials in the coefficient magnitudes, recorded once per input; the
 references in ``conftest`` run the dict engine gate by gate. The two must
 agree to 1e-12 on any input, any resonant cavity and any contractive set of
 coefficient magnitudes, in batches as point by point, and must fail the
-same way.
+same way. ``stacked_figures`` evaluates several gates at once and must agree
+with evaluating them one after another.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +31,12 @@ from spincavity.circuits import (
     _GENERIC_POINTS,
     _compile,
     _run,
+    _stack,
     gate_figures,
     gate_figures_many,
+    stacked_figures,
 )
-from spincavity.hilbert import DegenerateStateError, StructureError
+from spincavity.hilbert import DegenerateStateError, StateError, StructureError
 from conftest import dict_efficiency, dict_fidelity, dict_figures
 
 TOL = 1e-12
@@ -151,12 +157,14 @@ def test_second_sweep_reuses_the_compilation():
         outputs=cli.ALL_OUTPUTS,
     )
     list(cli.run_sweep(spec))
-    before = _compile.cache_info()
+    before = _compile.cache_info(), _stack.cache_info()
     list(cli.run_sweep(spec))
-    after = _compile.cache_info()
-    assert after.misses == before.misses
-    # One lookup per sim gate per chunk of points; the 2x2 grid is one chunk.
-    assert after.hits == before.hits + 2
+    after = _compile.cache_info(), _stack.cache_info()
+    assert [info.misses for info in after] == [info.misses for info in before]
+    # One lookup of both sim gates stacked per chunk of points; the 2x2 grid
+    # is one chunk, and the stack holds its compiled gates.
+    assert after[1].hits == before[1].hits + 1
+    assert after[0].hits == before[0].hits
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,11 +209,14 @@ def test_compiles_where_the_generic_runs_cancel_kets(monkeypatch, gate, points):
     # resonance.
     monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
     monkeypatch.setattr(circuits, "_GENERIC_MAGNITUDES", tuple(m for c in points for m in c.magnitudes))
+    # No compile made at other generic points may serve it, nor outlive it.
     _compile.cache_clear()
+    _stack.cache_clear()
     try:
         assert_agrees(gate, (QUBIT_PLUS,) * ARITY[gate], coefficients(CavityParams(g=2.4, kappa_s=0.5)))
     finally:
         _compile.cache_clear()
+        _stack.cache_clear()
 
 
 def test_input_amplitude_near_the_pruning_threshold():
@@ -265,3 +276,114 @@ def test_batch_fails_with_its_first_bad_point():
     error = first_error([good, detuned, too_large])
     assert isinstance(error, StructureError)
     assert str(error).startswith("squared norm 1.14083090880494")
+
+
+#: Magnitudes no larger than one in any combination: many passes gain norm,
+#: and at small ones some inputs reach the readout with nothing.
+any_magnitudes = st.builds(ScatterCoeffs, *[st.floats(0.0, 1.0)] * 4)
+invalid_coeffs = st.sampled_from(
+    [ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0), ScatterCoeffs(t=0.0, r=math.nan, t0=-1.0, r0=0.0)]
+)
+
+
+@st.composite
+def chunks(draw) -> list[ScatterCoeffs]:
+    """1-40 points: resonant or contractive ones, at most one point of any magnitudes up
+    to one (many gain norm) and at most one invalid point."""
+    points = draw(st.lists(mixed_coeffs, min_size=1, max_size=38))
+    for extra in (any_magnitudes, invalid_coeffs):
+        if draw(st.booleans()):
+            points.insert(draw(st.integers(0, len(points))), draw(extra))
+    return points
+
+
+def one_after_another(kinds, points):
+    """Each kind's figures, or the error, from evaluating the kinds in turn."""
+    try:
+        return [gate_figures_many(gate, inputs, points) for gate, inputs in kinds]
+    except StateError as exc:
+        return exc
+
+
+NUMBER = re.compile(r"nan|-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def assert_same_error(got: Exception, want: Exception) -> None:
+    """The same check failing at the same point of the same kind. A squared
+    norm the message quotes may differ in its last bit: the stacked matrix
+    product may sum a row in another order."""
+    assert type(got) is type(want)
+    assert NUMBER.sub("#", str(got)) == NUMBER.sub("#", str(want))
+    for a, b in zip(NUMBER.findall(str(got)), NUMBER.findall(str(want))):
+        assert a == b or abs(float(a) - float(b)) <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(gate_inputs, min_size=2, max_size=2), chunks())
+def test_stacked_kinds_evaluate_as_each_alone(kinds, points):
+    want = one_after_another(kinds, points)
+    if isinstance(want, StateError):
+        with pytest.raises(StateError) as raised:
+            stacked_figures(kinds, points)
+        assert_same_error(raised.value, want)
+        return
+    got = stacked_figures(kinds, points)
+    assert [len(figures) for figures in got] == [len(points)] * len(kinds)
+    for stacked, alone in zip(got, want):
+        for figures, reference in zip(stacked, alone):
+            # Compared before renormalization, as in assert_agrees.
+            assert abs(figures.survival - reference.survival) <= TOL
+            assert abs(figures.per_branch_averaged * figures.survival
+                       - reference.per_branch_averaged * reference.survival) <= TOL
+            assert abs(figures.pre_measurement * figures.survival
+                       - reference.pre_measurement * reference.survival) <= TOL
+
+
+def test_stacked_kinds_fail_in_turn():
+    # At ``cnot_fails`` the CNOT on (+, +) gains norm and the Toffoli on
+    # (+, +, +) does not; at ``toffoli_fails`` the Toffoli reaches its readout
+    # with nothing and the CNOT does not.
+    kinds = ((Gate.CNOT, (QUBIT_PLUS,) * 2), (Gate.TOFFOLI, (QUBIT_PLUS,) * 3))
+    cnot_fails = ScatterCoeffs(t=0.6, r=0.8, t0=0.0, r0=0.0)
+    toffoli_fails = ScatterCoeffs(t=0.1, r=0.1, t0=0.4, r0=0.4)
+    too_large = ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0)
+    for points, error in (
+        ([toffoli_fails, cnot_fails, too_large], StructureError),
+        ([toffoli_fails, too_large, cnot_fails], InvalidCoefficientError),
+        ([toffoli_fails], DegenerateStateError),
+    ):
+        want = one_after_another(kinds, points)
+        assert type(want) is error
+        with pytest.raises(error) as raised:
+            stacked_figures(kinds, points)
+        assert_same_error(raised.value, want)
+
+
+def test_no_kinds_give_no_lists():
+    assert stacked_figures((), [ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0)]) == []
+
+
+def generic_totals(gate, inputs):
+    """Compile afresh; the rows, and every total at both generic points."""
+    compiled = _compile.__wrapped__(gate, inputs)
+    magnitudes = np.array([c.magnitudes for c in _GENERIC_POINTS]).T
+    return len(compiled.coeffs), compiled.totals @ np.abs(compiled.amplitudes(magnitudes)) ** 2
+
+
+def assert_folding_keeps_the_totals(gate, inputs):
+    with mock.patch.object(circuits, "_fold", lambda coeffs, totals: (coeffs, totals)):
+        unfolded_rows, unfolded = generic_totals(gate, inputs)
+    rows, folded = generic_totals(gate, inputs)
+    assert np.abs(folded - unfolded).max() <= 1e-14
+    return unfolded_rows, rows
+
+
+def test_folding_keeps_the_totals_of_the_sweep_inputs():
+    assert assert_folding_keeps_the_totals(Gate.CNOT, (QUBIT_PLUS,) * 2) == (29, 12)
+    assert assert_folding_keeps_the_totals(Gate.TOFFOLI, (QUBIT_PLUS,) * 3) == (153, 66)
+
+
+@settings(max_examples=10, deadline=None)
+@given(gate_inputs)
+def test_folding_keeps_the_totals_of_any_inputs(gate_and_inputs):
+    assert_folding_keeps_the_totals(*gate_and_inputs)
