@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .hilbert import Polarization, Propagation, SpinBasis, StateError
 
@@ -113,40 +113,64 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
     finite even at gamma = 0.
     """
     if params.delta_c == 0.0 and params.delta_x == 0.0:
-        return resonant_coefficients(params.g, params.kappa_s, params.gamma, params.kappa)
-    dipole = 1j * params.delta_x + params.gamma / 2.0
-    cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
-    return _coefficients(params.g, params.kappa, dipole, cavity_term)
+        # Real arithmetic: complex division would cost a few ulps that the
+        # closed-form polynomials downstream then amplify.
+        dipole, cavity_term = params.gamma / 2.0, params.kappa + params.kappa_s / 2.0
+    else:
+        dipole = 1j * params.delta_x + params.gamma / 2.0
+        cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
+    g_squared = _squared(params.g)
+    dipole_ct, t0 = _cold_terms(params.kappa, dipole, cavity_term)
+    t = _hot_transmission(-params.kappa * dipole, dipole_ct, g_squared)
+    return ScatterCoeffs(t, 1.0 + t, t0, 1.0 + t0)
 
 
-def resonant_coefficients(g: float, kappa_s: float, gamma: float, kappa: float) -> ScatterCoeffs:
-    """:func:`coefficients` at zero detuning, for rates a :class:`CavityParams` has accepted.
+def resonant_magnitudes(
+    gs: Iterable[float], kappa_s_values: Iterable[float], gamma: float, kappa: float
+) -> Iterator[tuple[float, float, float, float]]:
+    """(|t|, |r|, |t0|, |r0|) of :func:`coefficients` at zero detuning, at each
+    point of ``gs`` x ``kappa_s_values``, row-major, as the same doubles.
 
-    Nothing is validated again, so a sweep pays only the arithmetic per point.
-    Real arithmetic: complex division would cost a few ulps that the
-    closed-form polynomials downstream then amplify.
+    For rates a :class:`CavityParams` has accepted: nothing is validated
+    again. The cold pair and dipole * cavity_term are worked out once per
+    kappa_s, g ** 2 once per g, so a point pays only for its hot transmission.
     """
-    return _coefficients(g, kappa, gamma / 2.0, kappa + kappa_s / 2.0)
+    dipole = gamma / 2.0
+    columns = []
+    for kappa_s in kappa_s_values:
+        dipole_ct, t0 = _cold_terms(kappa, dipole, kappa + kappa_s / 2.0)
+        columns.append((dipole_ct, abs(t0), abs(1.0 + t0)))
+    minus_kappa_dipole = -kappa * dipole
+    for g in gs:
+        g_squared = _squared(g)
+        for dipole_ct, at0, ar0 in columns:
+            t = _hot_transmission(minus_kappa_dipole, dipole_ct, g_squared)
+            yield abs(t), abs(1.0 + t), at0, ar0
 
 
-def _coefficients(g, kappa, dipole, cavity_term) -> ScatterCoeffs:
+def _squared(g):
     try:
-        g_squared = g ** 2
+        return g ** 2
     except OverflowError:
         raise ValueError(f"g = {g} is too large: g ** 2 overflows") from None
-    denominator = dipole * cavity_term + g_squared
-    if abs(denominator) < _SINGULAR_EPS:
-        raise SingularParameterError(
-            f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
-        )
+
+
+def _cold_terms(kappa, dipole, cavity_term):
+    """(dipole * cavity_term, t0): the terms that do not depend on g."""
     if abs(cavity_term) < _SINGULAR_EPS:
         raise SingularParameterError(
             f"cold-cavity denominator magnitude {abs(cavity_term)} below {_SINGULAR_EPS}"
         )
+    return dipole * cavity_term, -kappa / cavity_term
 
-    t = -kappa * dipole / denominator
-    t0 = -kappa / cavity_term
-    return ScatterCoeffs(t, 1.0 + t, t0, 1.0 + t0)
+
+def _hot_transmission(minus_kappa_dipole, dipole_ct, g_squared):
+    denominator = dipole_ct + g_squared
+    if abs(denominator) < _SINGULAR_EPS:
+        raise SingularParameterError(
+            f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
+        )
+    return minus_kappa_dipole / denominator
 
 
 def _couples(polarization: Polarization, propagation: Propagation, spin: SpinBasis) -> bool:
@@ -186,9 +210,8 @@ def ideal_scatter() -> ScatterTable:
     return table
 
 
-def checked_magnitudes(coeffs: ScatterCoeffs) -> tuple[float, float, float, float]:
+def checked_magnitudes(magnitudes: tuple[float, float, float, float]) -> tuple[float, ...]:
     """(|t|, |r|, |t0|, |r0|), each checked to be a number no larger than one."""
-    magnitudes = coeffs.magnitudes
     for name, mag in zip(("t", "r", "t0", "r0"), magnitudes):
         if not mag <= 1.0 + 1e-12:
             raise InvalidCoefficientError(f"|{name}| = {mag} exceeds 1")
@@ -204,7 +227,7 @@ def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
     :func:`ideal_scatter`; otherwise the map contracts the norm, the deficit
     being the photon lost to side leakage.
     """
-    at, ar, at0, ar0 = checked_magnitudes(coeffs)
+    at, ar, at0, ar0 = checked_magnitudes(coeffs.magnitudes)
     table: ScatterTable = {}
     for (pol, prop), spin in _ALL_KEYS:
         if _couples(pol, prop, spin):

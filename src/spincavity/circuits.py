@@ -43,7 +43,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1199,10 +1199,11 @@ def _stack(kinds: tuple[tuple[Gate, tuple[QubitState, ...]], ...]) -> _CompiledG
 
 
 def stacked_figures(
-    kinds: Sequence[tuple[Gate, Sequence[QubitState]]], coeffs_seq: Sequence[ScatterCoeffs]
+    kinds: Sequence[tuple[Gate, Sequence[QubitState]]],
+    magnitudes_seq: Iterable[tuple[float, float, float, float]],
 ) -> list[list[SimulatedFigures]]:
-    """:func:`gate_figures_many` of each ``(gate, inputs)`` kind, from one
-    evaluation; no kinds give no lists.
+    """:func:`gate_figures_many` of each ``(gate, inputs)`` kind at each
+    (|t|, |r|, |t0|, |r0|), from one evaluation; no kinds give no lists.
 
     Fails as evaluating the kinds one after another would: with the first
     kind's first failing point, then with invalid magnitudes of a point,
@@ -1211,9 +1212,9 @@ def stacked_figures(
     if not kinds:
         return []
     magnitudes, invalid = [], None
-    for coeffs in coeffs_seq:
+    for point in magnitudes_seq:
         try:
-            magnitudes.append(checked_magnitudes(coeffs))
+            magnitudes.append(checked_magnitudes(point))
         except InvalidCoefficientError as exc:
             invalid = exc
             break
@@ -1237,7 +1238,7 @@ def gate_figures_many(
     first point that fails, whether its magnitudes are invalid, a pass gains
     norm, or nothing reaches the readout.
     """
-    return stacked_figures(((gate, inputs),), coeffs_seq)[0]
+    return stacked_figures(((gate, inputs),), (coeffs.magnitudes for coeffs in coeffs_seq))[0]
 
 
 def gate_figures(

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .cavity import CavityParams, SingularParameterError, coefficients, resonant_coefficients
+from .cavity import CavityParams, SingularParameterError, coefficients, resonant_magnitudes
 from .circuits import (
     FIDELITY_CONVENTIONS,
     Gate,
@@ -46,8 +46,8 @@ from .hilbert import StateError, serialize
 from .metrics import (
     DecoherenceParams,
     GateFigures,
-    closed_form_figures,
     exciton_dephasing_factor,
+    magnitude_figures,
     spin_decoherence_factor,
     trion_density_matrix,
 )
@@ -172,7 +172,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     params = CavityParams(g=0.0, gamma=spec.gamma_over_kappa)
     gamma, kappa = params.gamma, params.kappa
     sim_gates = [column for column in _SIM_COLUMNS if {column[2], column[3]} & set(spec.outputs)]
-    # A point's record is its GateFigures followed by (fidelity, survival)
+    # A point's record is its GateFigures fields followed by (fidelity, survival)
     # of each simulated gate; a row picks its values from it in output order.
     index = {name: i for i, name in enumerate(GateFigures._fields)}
     for _, _, f_name, eta_name in sim_gates:
@@ -181,19 +181,21 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     pick = itemgetter(*columns) if len(columns) > 1 else lambda record: (record[columns[0]],)
     fidelity_scale = _fidelity_multiplier(spec)
     scales = [fidelity_scale if name in FIDELITY_OUTPUTS else 1.0 for name in spec.outputs]
-    grid = itertools.product(spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points())
+    g_points, kappa_s_points = spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points()
+    grid = itertools.product(g_points, kappa_s_points)
+    magnitudes = resonant_magnitudes(g_points, kappa_s_points, gamma, kappa)
     # A chunk's closed forms run before its gates. Resonant coefficients never
     # fail a gate (magnitudes at most one, contracting passes, nonzero
     # survival), so a failing sweep still reports its first failing point.
     while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
         try:
-            chunk_coeffs = [resonant_coefficients(g, ks, gamma, kappa) for g, ks in chunk]
+            chunk_magnitudes = list(itertools.islice(magnitudes, len(chunk)))
         except SingularParameterError as exc:
             # The hot-cavity denominator grows with g and kappa_s: the first point fails first.
             g_min = spec.g_over_kappa.minimum
             raise ConfigError(f"g_over_kappa = {g_min} with gamma_over_kappa = {gamma}: {exc}") from None
-        records = [closed_form_figures(coeffs) for coeffs in chunk_coeffs]
-        for simulated in stacked_figures([column[:2] for column in sim_gates], chunk_coeffs):
+        records = [magnitude_figures(*point) for point in chunk_magnitudes]
+        for simulated in stacked_figures([column[:2] for column in sim_gates], chunk_magnitudes):
             records = [
                 record + (figures.fidelity(spec.sim_convention), figures.survival)
                 for record, figures in zip(records, simulated)
@@ -205,6 +207,11 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
                 # its result, which parks it on another size's free list.
                 values = tuple([value * scale for value, scale in zip(values, scales)])
             yield SweepRow(g, ks, values)
+
+
+#: Rows formatted by one ``%`` and written by one ``write``: about 30 KB of
+#: text with the four closed-form columns.
+CSV_CHUNK = 256
 
 
 class _Formatted(dict):
@@ -224,8 +231,12 @@ def write_csv(spec: SweepSpec, rows, out: TextIO) -> None:
     out.write("g_over_kappa,kappa_s_over_kappa," + ",".join(spec.outputs) + "\n")
     line = "%s,%s," + ",".join(["%.17g"] * len(spec.outputs)) + "\n"
     coordinates = _Formatted()
-    for g, ks, values in rows:
-        out.write(line % (coordinates[g], coordinates[ks], *values))
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CSV_CHUNK)):
+        cells = []
+        for g, ks, values in chunk:
+            cells += (coordinates[g], coordinates[ks], *values)
+        out.write(line * len(chunk) % tuple(cells))
 
 
 def write_json(spec: SweepSpec, rows, out: TextIO) -> None:
@@ -583,6 +594,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ValueError here means flag-derived parameters failed validation
         # (negative rates, non-positive time scales, and the like).
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except SingularParameterError as exc:  # a parameter fault; sweep maps its own
+        print(f"error: g = {args.g} with gamma = {args.gamma}: {exc}", file=sys.stderr)
         return 1
     except StateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -76,23 +76,28 @@ def closed_form_figures(coeffs: ScatterCoeffs) -> GateFigures:
 
     All four reach one in the lossless limit (|t0| = |r| = 1, zeta = 2).
     """
-    at, ar, at0, ar0 = coeffs.magnitudes
+    return GateFigures(*magnitude_figures(*coeffs.magnitudes))
 
+
+def magnitude_figures(at: float, ar: float, at0: float, ar0: float) -> tuple[float, ...]:
+    """The :class:`GateFigures` fields, in order, from (|t|, |r|, |t0|, |r0|).
+
+    Each subexpression the polynomials repeat is named once. Every operation
+    keeps its operands and left-to-right order, and every power stays a
+    libm ``pow``, so the results are the doubles of the written-out forms.
+    """
     f_cnot = ((at0 + ar) / 2.0) ** 2
 
-    xi1 = (at0 - ar0 - at + ar) * (
-        ar0 * (at0 - ar0) * (at0 - ar0 + ar - at) ** 2
-        + ar0 * (ar - at) * (at0 - ar0 - ar + at) ** 2
-        + 4.0 * at0 * (ar - at)
-        + 4.0 * (at0 - ar0)
+    d0 = at0 - ar0
+    d = ar - at
+    plus_squared = (d0 + ar - at) ** 2  # (at0 - ar0 + ar - at) ** 2
+    minus_squared = (d0 - ar + at) ** 2  # (at0 - ar0 - ar + at) ** 2
+
+    xi1 = (d0 - at + ar) * (
+        ar0 * d0 * plus_squared + ar0 * d * minus_squared + 4.0 * at0 * d + 4.0 * d0
     )
-    xi2 = (
-        ar * (at0 - ar0) * (at0 - ar0 - ar + at) ** 2
-        + ar * (ar - at) * (at0 - ar0 + ar - at) ** 2
-        + 4.0 * at * (at0 - ar0)
-        + 4.0 * (ar - at)
-    )
-    xi3 = ar0 * (at0 - ar0 + ar - at) ** 2 * (at0 - ar0 - ar + at) ** 2
+    xi2 = ar * d0 * minus_squared + ar * d * plus_squared + 4.0 * at * d0 + 4.0 * d
+    xi3 = ar0 * plus_squared * minus_squared
 
     f_toffoli = ((xi1 + 2.0 * xi2 - xi3) / 32.0) ** 2
 
@@ -100,7 +105,7 @@ def closed_form_figures(coeffs: ScatterCoeffs) -> GateFigures:
     eta_cnot = (0.5 + 1.25 * zeta) / 3.0
     eta_toffoli = (1.0 + 1.25 * zeta + zeta ** 4 / 32.0) / 4.0
 
-    return GateFigures(f_cnot, f_toffoli, eta_cnot, eta_toffoli, zeta, xi1, xi2, xi3)
+    return f_cnot, f_toffoli, eta_cnot, eta_toffoli, zeta, xi1, xi2, xi3
 
 
 def spin_decoherence_factor(params: DecoherenceParams) -> float:

@@ -226,6 +226,19 @@ class TestSimulate:
         assert abs(q.beta - 0.8j) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--g", "0", "--gamma", "0"],
+    ["simulate", "cnot", "--control", "+", "--target", "R", "--mode", "realistic",
+     "--g", "0", "--gamma", "0"],
+])
+def test_singular_cavity_names_g_and_gamma(capsys, argv):
+    # A vanishing hot-cavity denominator is a parameter fault, as in sweep:
+    # exit 1, one line naming the rates, nothing on stdout.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: g = 0.0 with gamma = 0.0: hot-cavity denominator magnitude 0.0 below 1e-15\n"
+
+
 class TestDashLedNumbers:
     """``--flag -1e3`` reads as ``--flag=-1e3`` wherever the flag takes a number."""
 

@@ -322,12 +322,13 @@ def assert_same_error(got: Exception, want: Exception) -> None:
 @given(st.lists(gate_inputs, min_size=2, max_size=2), chunks())
 def test_stacked_kinds_evaluate_as_each_alone(kinds, points):
     want = one_after_another(kinds, points)
+    magnitudes = [point.magnitudes for point in points]
     if isinstance(want, StateError):
         with pytest.raises(StateError) as raised:
-            stacked_figures(kinds, points)
+            stacked_figures(kinds, magnitudes)
         assert_same_error(raised.value, want)
         return
-    got = stacked_figures(kinds, points)
+    got = stacked_figures(kinds, magnitudes)
     assert [len(figures) for figures in got] == [len(points)] * len(kinds)
     for stacked, alone in zip(got, want):
         for figures, reference in zip(stacked, alone):
@@ -355,12 +356,12 @@ def test_stacked_kinds_fail_in_turn():
         want = one_after_another(kinds, points)
         assert type(want) is error
         with pytest.raises(error) as raised:
-            stacked_figures(kinds, points)
+            stacked_figures(kinds, [point.magnitudes for point in points])
         assert_same_error(raised.value, want)
 
 
 def test_no_kinds_give_no_lists():
-    assert stacked_figures((), [ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0)]) == []
+    assert stacked_figures((), [(0.0, 1.2, 1.0, 0.0)]) == []
 
 
 def generic_totals(gate, inputs):

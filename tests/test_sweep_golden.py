@@ -6,6 +6,9 @@ in the order of the arithmetic, or ``x ** 2`` written as ``x * x`` (libm
 thousand), shows up here. The large grids are pinned by their sha256, the
 small ones by their text. Simulated ``sim_*`` columns are compared to 1e-12,
 because their last bits depend on the summation order of a matrix product.
+Two properties hold on random small grids: every row equals the
+point-by-point path bit for bit, and no simulated fidelity passes one by
+more than rounding.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ import contextlib
 import hashlib
 import io
 import itertools
+import re
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR
 from spincavity import cli
-from spincavity.cavity import resonant_coefficients
-from spincavity.metrics import GateFigures, closed_form_figures
+from spincavity.cavity import CavityParams, SingularParameterError, coefficients, resonant_magnitudes
+from spincavity.metrics import GateFigures, closed_form_figures, magnitude_figures
 
 
 def run_main(argv):
@@ -60,26 +66,88 @@ def test_sweep_csv_hash(name):
 
 
 def test_closed_form_fields_hash():
-    """Every ``GateFigures`` field, zeta and the xi included, on the 200x200 default-range grid.
+    """Every ``GateFigures`` field, zeta and the xi included, on the 200x200 default-range grid,
+    through the magnitudes kernel the sweep calls.
 
     The CSV prints four of the eight fields; this sees the other four too.
-    Rewriting one of the twelve ``** 2`` in ``closed_form_figures`` as
-    ``x * x`` changes this hash for eight of them. The other four, the
-    squares of ``(at0 - ar0 - ar + at)`` in the second term of xi1 and the
-    first term of xi2, and ``at0 ** 2`` and ``ar0 ** 2`` in zeta, round to
-    the same doubles at every point of this grid and are invisible here.
+    ``magnitude_figures`` names each repeated square once, so it holds eight
+    ``** 2``. Rewriting one of them as ``x * x`` changes this hash for six,
+    the shared square of ``(at0 - ar0 - ar + at)`` among them (it also feeds
+    xi3). The other two, ``at0 ** 2`` and ``ar0 ** 2`` in zeta, round to the
+    same doubles at every point of this grid and are invisible here.
     """
-    grid = itertools.product(
-        cli.SweepRange(0.0, 5.0, 200).points(), cli.SweepRange(0.0, 1.0, 200).points()
-    )
+    points = cli.SweepRange(0.0, 5.0, 200).points(), cli.SweepRange(0.0, 1.0, 200).points()
     line = ",".join(["%.17g"] * len(GateFigures._fields)) + "\n"
     text = "".join(
-        line % closed_form_figures(resonant_coefficients(g, ks, 0.1, 1.0)) for g, ks in grid
+        line % magnitude_figures(*magnitudes)
+        for magnitudes in resonant_magnitudes(*points, 0.1, 1.0)
     )
     assert len(text) == 6284592
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "ff58f2f84e268966d120a7b842a3ae19d5e7c5e15a05eed268d774b76f09585e"
     )
+
+
+@st.composite
+def sweep_ranges(draw) -> cli.SweepRange:
+    """2-6 steps over an interval within [0, 100]."""
+    ends = draw(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=2, unique=True))
+    return cli.SweepRange(min(ends), max(ends), draw(st.integers(2, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sweep_ranges(),
+    sweep_ranges(),
+    st.floats(0.0, 3.0),
+    st.permutations(cli.CLOSED_FORM_OUTPUTS).flatmap(
+        lambda names: st.integers(1, len(names)).map(lambda n: tuple(names[:n]))
+    ),
+    st.lists(st.sampled_from(cli.DECOHERE_CHOICES), unique=True).map(tuple),
+)
+@example(cli.SweepRange(0.0, 1.0, 2), cli.SweepRange(0.0, 1.0, 2), 0.0, ("f_cnot",), ())
+def test_sweep_rows_equal_the_point_by_point_path(g_range, ks_range, gamma, outputs, decohere):
+    """Each row bit for bit as ``closed_form_figures(coefficients(...))`` at its
+    point, picked and scaled alike; a singular grid fails as its first point does."""
+    spec = cli.SweepSpec(g_range, ks_range, gamma_over_kappa=gamma, outputs=outputs, decohere=decohere)
+    scale = cli._fidelity_multiplier(spec)
+    want = []
+    try:
+        for g, ks in itertools.product(g_range.points(), ks_range.points()):
+            figures = closed_form_figures(coefficients(CavityParams(g=g, kappa_s=ks, gamma=gamma)))
+            values = [getattr(figures, name) for name in outputs]
+            if scale != 1.0:
+                values = [
+                    value * scale if name in cli.FIDELITY_OUTPUTS else value
+                    for name, value in zip(outputs, values)
+                ]
+            want.append([g.hex(), ks.hex(), *(value.hex() for value in values)])
+    except SingularParameterError as exc:
+        assert not want, "only the first point can be singular"
+        message = f"g_over_kappa = {g_range.minimum} with gamma_over_kappa = {gamma}: {exc}"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+            list(cli.run_sweep(spec))
+        return
+    got = [[g.hex(), ks.hex(), *(value.hex() for value in values)] for g, ks, values in cli.run_sweep(spec)]
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_ranges(), sweep_ranges(), st.floats(0.0, 3.0), st.sampled_from(cli.FIDELITY_CONVENTIONS))
+def test_simulated_fidelities_pass_one_by_rounding_only(g_range, ks_range, gamma, convention):
+    """``per_branch / survival`` rounds either side of one where a gate
+    reconstructs its ideal output; 4 ulps (8.9e-16) is the most seen."""
+    spec = cli.SweepSpec(
+        g_range, ks_range, gamma_over_kappa=gamma,
+        outputs=("sim_f_cnot", "sim_f_toffoli"), sim_convention=convention,
+    )
+    try:
+        rows = list(cli.run_sweep(spec))
+    except cli.ConfigError:  # a singular first point
+        assume(False)
+    for _, _, values in rows:
+        for value in values:
+            assert 0.0 <= value <= 1.0 + 1e-14
 
 
 def test_small_json_sweep_matches_golden():
