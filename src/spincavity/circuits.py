@@ -27,8 +27,8 @@ shows up either as norm lost inside the cavity (efficiency) or as bit-flip
 amplitude riding along to the output (fidelity).
 
 Each gate is written once, as a sequence of steps. The dict engine
-interprets it for single runs, recording runs of a kind that repeats as step
-plans that later runs replay bit for bit, and also compiles it into
+interprets it for single runs, recording runs of a kind that repeats as
+compiled paths that later runs replay bit for bit, and also compiles it into
 polynomials in the coefficient magnitudes for :func:`stacked_figures`,
 which evaluates fidelities and survival over batches of cavity parameters
 without rerunning the circuit.
@@ -43,6 +43,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -272,10 +273,6 @@ class GateMode:
     def with_coefficients(cls, coeffs: ScatterCoeffs) -> "GateMode":
         """Realistic scattering with explicit coefficients (diagnostics, tests)."""
         return cls(coeffs=coeffs)
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.params is None and self.coeffs is None
 
     def scatter_table(self) -> ScatterTable:
         if self.coeffs is not None:
@@ -571,8 +568,8 @@ def _run(
     """Run ``gate`` on product ``inputs``: the result and the joint state before readout.
 
     ``spin_init`` defaults to the spin preparation the gate needs. The run
-    replays the plans earlier runs of its kind recorded, or else is
-    interpreted; both give the same bits (see :func:`_replay`). The first
+    replays a path that an earlier run of its kind recorded, or else is
+    interpreted; both give the same bits (see :func:`_path_source`). The first
     run of a kind that misses is not recorded, so a one-shot command pays
     nothing for the cache.
     """
@@ -590,19 +587,18 @@ def _run(
     if support is not None:
         root = _plan_root(gate, len(next(iter(table.values()))), support[0])
         table_values = tuple([term[3] for terms in table.values() for term in terms])
-        replayed = _replay(root, values, table_values, arity)
-        if replayed is not None:
-            return replayed
+        for replay in root.paths:  # the first that stays on its path wins
+            if (replayed := replay(values, table_values)) is not None:
+                return replayed
         with _PLANS_LOCK:
-            root.data += 1
-            if 1 < root.data <= _PATHS_PER_ROOT + 1:
+            root.misses += 1
+            if 1 < root.misses <= _PATHS_PER_ROOT + 1:
                 log = []
     result, pre, path = _interpret(program, inputs, table, log)
     if path is not None:
+        replay = _compiled(path, arity)  # here, so no replayed run pays for a compile
         with _PLANS_LOCK:
-            node = root
-            for key, data in path:
-                node = node.next.setdefault(key, _Plan(data))
+            root.paths += (replay,)
     return result, pre
 
 
@@ -611,9 +607,9 @@ def _run(
 # Which kets a run reaches, and so the order of every sum in it, depends only
 # on the gate, the scatter table's shape, the input support and which kets
 # each step prunes. Runs of a kind that miss are interpreted, from the second
-# on with their sited maps logged and kept as a path in a trie of plans; later
-# runs replay the plans with the same float operations in the same order, and
-# every value check.
+# on with their sited maps logged. Each logged run becomes a path, compiled
+# into straight-line code that later runs call: the same float operations in
+# the same order, and every value check.
 
 
 class _Slot(float):
@@ -627,46 +623,45 @@ class _Slot(float):
         return slot
 
 
-class _Plan:
-    """A trie node: a recorded step, and the next node by which kets the step kept.
-    A root's ``data`` counts the runs that missed its paths instead."""
-
-    __slots__ = ("data", "next")
-
-    def __init__(self, data) -> None:
-        self.data, self.next = data, {}
-
-
 class _Step(NamedTuple):
-    """One sited map over the positions of the previous step's outputs: ``edges``
-    holds (source, output, coefficient) in summation order, outputs numbered by
-    first touch. A coefficient indexes the table's amplitudes, then ``constants``.
-    ``kets`` are kept where a state is built: at trace ``marks`` and before the
-    readout.
-
-    The readout's plan is a plain tuple instead: per outcome, ``(outcome,
-    positions of its kets in ket order, branch)``, where ``branch`` is None if
-    the outcome has none, else the feed-forward steps, the positions of their
-    output in ket order, and the direction-erased kets."""
+    """One sited map: ``edges`` holds (source, output, coefficient) in summation order,
+    sources numbered as the step before numbers its outputs, outputs by first touch,
+    coefficients as the table's amplitudes, then the path's constants. It keeps the
+    outputs ``kept`` (None for all), whose ``kets`` are held where a state is built."""
 
     edges: tuple
     outputs: int
-    constants: tuple
+    kept: tuple | None
     kets: tuple | None
     marks: tuple
 
 
+class _Path(NamedTuple):
+    """A logged run: its ``steps``, then per outcome ``(outcome, positions of its kets in
+    ket order, branch)``; ``branch`` is None if the outcome has none, else the
+    feed-forward steps, the positions of their output in ket order and the output kets."""
+
+    steps: tuple
+    readout: tuple
+    constants: tuple
+    slots: int
+
+
 #: Runs recorded under one root at most; later misses are only interpreted.
 _PATHS_PER_ROOT = 16
-#: Guards each root's count and the inserts under it.
+#: Source characters compiled at once, about. The compiler holds some 120 bytes
+#: per character of what it compiles, so a Toffoli path (65 KB of source) in one
+#: piece would lift peak memory by about 8 MB; a path is compiled in parts.
+_PART_CHARS = 4000
+#: Guards each root's count and paths.
 _PLANS_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=64)
-def _plan_root(gate: Gate, terms_per_key: int, support: tuple | None) -> _Plan:
-    """The trie of one gate, scatter-table shape and input support (kept positions,
-    None for all)."""
-    return _Plan(0)
+def _plan_root(gate: Gate, terms_per_key: int, support: tuple | None) -> SimpleNamespace:
+    """The compiled paths, tried in order, of one gate, scatter-table shape and input
+    support (kept positions, None for all), and the count of runs that missed them."""
+    return SimpleNamespace(misses=0, paths=())
 
 
 def _survivors(values: list) -> tuple | None:
@@ -684,64 +679,126 @@ def _survivors(values: list) -> tuple | None:
     return (key, norm_sq) if norm_sq <= 1.0 + NORM_EPS else None
 
 
-def _apply_step(step: _Step, values: list, table_values: tuple) -> list:
-    ks = table_values + step.constants
-    new = [0j] * step.outputs
-    for i, o, c in step.edges:
-        new[o] += values[i] * ks[c]
-    return new
+def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
+    """The sources of the parts that replay ``path``, and their namespace. Each
+    ``part(values, table amplitudes, trace)`` takes what the part before returned (the
+    first, the input amplitudes) and appends its trace states; the last returns the
+    result and the pre-readout state. A part returns None where the run leaves the path
+    or fails a value check: those of :func:`_survivors` (a prune test, which a NaN fails,
+    or the squared-norm cap), a zero state, a branch weight. The interpreter then reruns
+    it and raises as always. Structural checks depend only on the kets, the recorded
+    ones, and ran at recording. The sources hold only integer indices and fixed names."""
+    held, blocks = [], []
 
+    def hold(value) -> str:
+        held.append(value)
+        return f"held[{len(held) - 1}]"
 
-def _replay(root: _Plan, values: list, table_values: tuple, photon_count: int):
-    """Replay the paths under ``root`` from the input amplitudes: the result and pre-readout state.
+    def apply(step: _Step, sources: list, name: str) -> list:
+        terms = [[] for _ in range(step.outputs)]
+        for source, out, coeff in step.edges:
+            terms[out].append(f" + {sources[source]} * c{coeff}")
+        values = [f"{name}{j}" for j in range(step.outputs)]
+        lines.extend(f"{value} = 0j{''.join(sums)}" for value, sums in zip(values, terms))
+        return values
 
-    Returns None where the run leaves the recorded paths or a value check
-    fails (pruning, NaN, the squared-norm cap, a zero state, a branch weight);
-    the interpreter then reruns it and raises as it always has. The structural
-    checks (routing collisions, incomplete maps, photon indices, switch
-    schedules, ket structure, canonical-output collisions) ran at recording.
-    They depend only on the kets, which are the recorded ones, so a replay
-    cannot fail them.
-    """
-    node, trace, key = root, [], None
-    while (node := node.next.get(key)) is not None and type(node.data) is _Step:
-        step = node.data
-        values = _apply_step(step, values, table_values)
-        if (checked := _survivors(values)) is None:
-            return None
-        key, norm_sq = checked
-        if step.kets is not None:  # trace marks, or the last step: the pre-readout state
-            kets = step.kets
-            kept = zip(kets, values) if key is None else ((kets[j], values[j]) for j in key)
-            pre = StateVector._checked(dict(kept), photon_count, True)
-            trace.extend((name, pre) for name in step.marks)
-    if node is None or norm_sq <= PRUNE_EPS ** 2:
-        return None
+    def squared_norm(name: str, values: list) -> None:
+        lines.append(f"{name} = sum([{', '.join(f'm{value} ** 2' for value in values)}])")
+
+    def check(values: list, kept, norm: str) -> None:
+        kept = range(len(values)) if kept is None else kept
+        lines.extend(f"m{value} = abs({value})" for value in values)
+        tests = (f"m{value} {'>=' if j in kept else '<'} eps" for j, value in enumerate(values))
+        lines.append(f"if not ({' and '.join(tests)}): return None")
+        squared_norm(norm, [values[j] for j in kept])
+        lines.append(f"if {norm} > cap: return None")
+
+    def state(kets: tuple, values: list, spin: bool) -> str:
+        return f"state(dict(zip({hold(kets)}, {listed(values)})), {photon_count}, {spin})"
+
+    def listed(items) -> str:
+        return f"({', '.join(items)}{',' if items else ''})"
+
+    values = [f"v{j}" for j in range(2 ** photon_count)]
+    for s, step in enumerate(path.steps):
+        blocks.append((values, lines := []))  # the values a step reads, and its lines
+        values = apply(step, values, f"a{s % 2}_")  # two sets of names: a step reads only the one before
+        check(values, step.kept, "n")
+        if step.kets is not None:
+            kept = values if step.kept is None else [values[j] for j in step.kept]
+            lines.append(f"pre = {state(step.kets, kept, True)}")
+            lines.extend(f"trace.append(({hold(mark)}, pre))" for mark in step.marks)
+    lines.append("if n <= zero: return None")
     branches = []
-    for outcome, picks, branch in node.data:  # measure_spin
-        weight = sum([abs(values[j]) ** 2 for j in picks])
-        if (weight > MIN_BRANCH_WEIGHT) != (branch is not None):
-            return None
+    for b, (outcome, picks, branch) in enumerate(path.readout):  # measure_spin
+        squared_norm(f"w{b}", [values[j] for j in picks])
         if branch is None:
+            lines.append(f"if w{b} > weight: return None")
             continue
+        lines += [f"if not w{b} > weight: return None", f"f = 1.0 / sqrt(w{b})"]
+        post = [f"p{b}_{j}" for j in range(len(picks))]
+        lines.extend(f"{p} = {values[j]} * f" for p, j in zip(post, picks))
+        check(post, None, "r")
         steps, order, kets = branch
-        scale = 1.0 / math.sqrt(weight)
-        posts = [[values[j] * scale for j in picks]]
-        for step in steps:  # feed_forward
-            posts.append(_apply_step(step, posts[-1], table_values))
-        posts.append([posts[-1][j] for j in order])  # _canonical_photonic
-        if any((kept := _survivors(post)) is None or kept[0] is not None for post in posts):
-            return None
-        state = StateVector._checked(dict(zip(kets, posts[-1])), photon_count, False)
-        branches.append(Branch(outcome, weight / norm_sq, state))
-    return GateResult(tuple(branches), norm_sq, tuple(trace)), pre
+        for f, step in enumerate(steps):  # feed_forward
+            post = apply(step, post, f"q{b}_{f}_")
+            check(post, None, "r")
+        squared_norm("r", post := [post[j] for j in order])  # _canonical_photonic
+        lines.append("if r > cap: return None")
+        branches.append(f"Branch({hold(outcome)}, w{b} / n, {state(kets, post, False)})")
+    lines.append(f"return GateResult({listed(branches)}, n, tuple(trace)), pre")
+    coefficients = [f"c{c}" for c in range(path.slots + len(path.constants))]
+    parts, part = [], []  # each part binds the coefficients to locals, then what it reads
+    for reads, lines in blocks:
+        if part and sum(map(len, part + lines)) > _PART_CHARS:
+            parts.append(part + [f"return {listed(reads)}"])
+            part = []
+        part = (part or [
+            f"{listed(coefficients[:path.slots])} = t", f"{listed(coefficients[path.slots:])} = constants",
+            f"{listed(reads)} = v",
+        ]) + lines
+    parts.append(part)
+    namespace = {
+        "__builtins__": {}, "abs": abs, "sum": sum, "dict": dict, "zip": zip, "tuple": tuple,
+        "sqrt": math.sqrt, "state": StateVector._checked, "GateResult": GateResult, "Branch": Branch,
+        "eps": PRUNE_EPS, "cap": 1.0 + NORM_EPS, "zero": PRUNE_EPS ** 2, "weight": MIN_BRANCH_WEIGHT,
+        "constants": path.constants, "held": tuple(held),
+    }
+    sources = ["def part(v, t, trace):\n" + "".join(f"    {line}\n" for line in lines) for lines in parts]
+    return sources, namespace
+
+
+@functools.lru_cache(maxsize=256)
+def _part_code(source: str):
+    """A part's code, shared by the paths that write the same source: those of one root
+    that leave each other midway, say, until they part."""
+    return compile(source, "<recorded path>", "exec")
+
+
+def _compiled(path: _Path, photon_count: int):
+    """A function calling the parts :func:`_path_source` writes in turn, compiled one
+    at a time so the compiler holds one part's source at once."""
+    sources, namespace = _path_source(path, photon_count)
+    parts = []
+    for source in sources:
+        exec(_part_code(source), namespace)
+        parts.append(namespace.pop("part"))
+
+    def replay(values: list, table_values: tuple):
+        trace = []
+        for part in parts:  # the last part returns the result
+            if (values := part(values, table_values, trace)) is None:
+                return None
+        return values
+
+    return replay
 
 
 def _interpret(
     program: _GateProgram, inputs: Sequence[QubitState], table: ScatterTable, log=None
 ):
     """Interpret a run: its result and pre-readout state, and, with its sited maps logged
-    to ``log``, the path of ``(key, plan)`` that replays it (else None)."""
+    to ``log``, the :class:`_Path` that replays it (else None)."""
     if log is not None:  # amplitudes that name their slot in the table, for the logged edges
         count = itertools.count()
         table = {
@@ -771,18 +828,14 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
     maps from the input ``source`` to ``pre`` and on from each post-measurement state,
     or where the readout prunes a ket."""
     kets = _product_kets(program.in_modes, program.spin)
-    path, key, position, n = [], None, {k: j for j, k in enumerate(kets)}, 0
+    steps, constants, position, n = [], {}, {k: j for j, k in enumerate(kets)}, 0
     while n < len(log) and log[n][0] is source:
         _, edges, source = log[n]
         n += 1
         names = tuple(marks.get(n, ()))
-        keep = bool(names) or source is pre
-        step, position = _plan_step(edges, position, slots, keep, names)
-        path.append((key, step))
-        key = None if len(source) == len(position) else tuple(
-            j for j, k in enumerate(position) if k in source._amps
-        )
-    if source is not pre or not path:
+        step, position = _plan_step(edges, position, slots, constants, source, names, source is pre)
+        steps.append(step)
+    if source is not pre or not steps:
         return None
     pre_position, outcomes = position, []
     posts = {o: (post, out) for o, _, post, out in readout}
@@ -791,25 +844,28 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
         branch = None
         if outcome in posts:
             source, out = posts[outcome]
-            position, steps = {k.with_spin(None): j for j, k in enumerate(picked)}, []
+            position, feed = {k.with_spin(None): j for j, k in enumerate(picked)}, []
             while len(source) == len(position) and n < len(log) and log[n][0] is source:
                 _, edges, source = log[n]
                 n += 1
-                step, position = _plan_step(edges, position, slots, False, ())
-                steps.append(step)
+                step, position = _plan_step(edges, position, slots, constants, source)
+                feed.append(step)
             if not len(source) == len(position) == len(out):
                 return None
-            branch = (tuple(steps), tuple(position[k] for k in source.kets()), tuple(out._amps))
+            branch = (tuple(feed), tuple(position[k] for k in source.kets()), tuple(out._amps))
         outcomes.append((outcome, tuple(pre_position[k] for k in picked), branch))
-    path.append((key, tuple(outcomes)))
-    return path if n == len(log) else None
+    if n != len(log):
+        return None
+    return _Path(tuple(steps), tuple(outcomes), tuple(c for c, _ in constants), slots)
 
 
-def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple):
+def _plan_step(edges, position: dict, slots: int, constants: dict, result: StateVector,
+               marks: tuple = (), keep: bool = False):
     """Logged edges as a :class:`_Step` over the kets ``position`` numbers, and the
-    numbering of the step's output kets. Equal constants share an index (keyed
-    with their sign, so 0.0 and -0.0 stay apart)."""
-    outputs, plan, constants, ket = {}, [], {}, None
+    numbering of the step's output kets. A constant takes the next index in
+    ``constants`` on first use; equal ones share it (keyed with their sign, so 0.0
+    and -0.0 stay apart)."""
+    outputs, plan, ket = {}, [], None
     for given, out, coeff in edges:
         if given is not ket:  # a ket's edges come together
             ket, source = given, position[given]
@@ -818,8 +874,10 @@ def _plan_step(edges, position: dict, slots: int, keep: bool, marks: tuple):
         else:
             index = constants.setdefault((coeff, math.copysign(1.0, coeff)), slots + len(constants))
         plan.append((source, outputs.setdefault(out, len(outputs)), index))
-    kets = tuple(outputs) if keep else None
-    return _Step(tuple(plan), len(outputs), tuple(c for c, _ in constants), kets, marks), outputs
+    kept = tuple(j for j, k in enumerate(outputs) if k in result._amps)
+    kept = None if len(kept) == len(outputs) else kept
+    kets = tuple(result._amps) if keep or marks else None
+    return _Step(tuple(plan), len(outputs), kept, kets, marks), outputs
 
 
 def cnot(

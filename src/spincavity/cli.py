@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .circuits import (
     stacked_figures,
     toffoli,
 )
-from .hilbert import StateError, serialize
+from .hilbert import DegenerateStateError, StateError, serialize
 from .metrics import (
     DecoherenceParams,
     GateFigures,
@@ -131,12 +131,6 @@ class SweepSpec:
             raise ConfigError(f"sim_convention: unknown convention {self.sim_convention!r}")
 
 
-class SweepRow(NamedTuple):
-    g_over_kappa: float
-    kappa_s_over_kappa: float
-    values: tuple[float, ...]
-
-
 def _fidelity_multiplier(spec: SweepSpec) -> float:
     multiplier = 1.0
     if "spin" in spec.decohere:
@@ -163,8 +157,9 @@ _SIM_COLUMNS = (
 SWEEP_CHUNK = 16
 
 
-def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
-    """Evaluate the requested outputs over the grid, rows in grid order."""
+def run_sweep(spec: SweepSpec) -> Iterator[tuple[float, float, tuple[float, ...]]]:
+    """Evaluate the requested outputs over the grid: ``(g_over_kappa,
+    kappa_s_over_kappa, values)`` rows in grid order, values in output order."""
     spec.validate()
     # The ranges hold every coordinate finite and within [0, 100], so one
     # CavityParams validates the whole grid, with the messages a per-point
@@ -184,9 +179,10 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
     g_points, kappa_s_points = spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points()
     grid = itertools.product(g_points, kappa_s_points)
     magnitudes = resonant_magnitudes(g_points, kappa_s_points, gamma, kappa)
-    # A chunk's closed forms run before its gates. Resonant coefficients never
-    # fail a gate (magnitudes at most one, contracting passes, nonzero
-    # survival), so a failing sweep still reports its first failing point.
+    # A chunk's closed forms run before its gates. Resonant coefficients fail
+    # a gate only by zero survival (the Toffoli at g = 0, kappa_s = 2), which
+    # names the grid's first such point.
+    kinds = [column[:2] for column in sim_gates]
     while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
         try:
             chunk_magnitudes = list(itertools.islice(magnitudes, len(chunk)))
@@ -195,7 +191,16 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
             g_min = spec.g_over_kappa.minimum
             raise ConfigError(f"g_over_kappa = {g_min} with gamma_over_kappa = {gamma}: {exc}") from None
         records = [magnitude_figures(*point) for point in chunk_magnitudes]
-        for simulated in stacked_figures([column[:2] for column in sim_gates], chunk_magnitudes):
+        try:
+            stacked = stacked_figures(kinds, chunk_magnitudes)
+        except DegenerateStateError as exc:
+            for (g, ks), point in zip(chunk, chunk_magnitudes):
+                try:
+                    stacked_figures(kinds, [point])
+                except DegenerateStateError:
+                    raise ConfigError(f"g_over_kappa = {g} with kappa_s_over_kappa = {ks}: {exc}") from None
+            raise
+        for simulated in stacked:
             records = [
                 record + (figures.fidelity(spec.sim_convention), figures.survival)
                 for record, figures in zip(records, simulated)
@@ -206,7 +211,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRow]:
                 # From a list, not a generator: tuple() of a generator resizes
                 # its result, which parks it on another size's free list.
                 values = tuple([value * scale for value, scale in zip(values, scales)])
-            yield SweepRow(g, ks, values)
+            yield g, ks, values
 
 
 #: Rows formatted by one ``%`` and written by one ``write``: about 30 KB of
@@ -597,6 +602,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except SingularParameterError as exc:  # a parameter fault; sweep maps its own
         print(f"error: g = {args.g} with gamma = {args.gamma}: {exc}", file=sys.stderr)
+        return 1
+    except DegenerateStateError as exc:  # zero survival, a parameter fault too
+        print(f"error: g = {args.g} with kappa_s = {args.kappa_s}: {exc}", file=sys.stderr)
         return 1
     except StateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

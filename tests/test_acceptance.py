@@ -188,12 +188,10 @@ def test_criterion_1_closed_form_golden_numbers():
             else SweepRange(0.0, kappa_s, 2),
             gamma_over_kappa=GAMMA,
         )
-        sweep_row = next(
-            row
-            for row in run_sweep(sweep_spec)
-            if row.g_over_kappa == 2.4 and row.kappa_s_over_kappa == kappa_s
+        row_values = next(
+            values for g, ks, values in run_sweep(sweep_spec) if g == 2.4 and ks == kappa_s
         )
-        by_name = dict(zip(sweep_spec.outputs, sweep_row.values))
+        by_name = dict(zip(sweep_spec.outputs, row_values))
         for name, value in (
             ("f_cnot", fig.f_cnot),
             ("f_toffoli", fig.f_toffoli),
@@ -454,7 +452,7 @@ def _surface_csv_checks():
     write_csv(spec, rows, buffer)
     if len(buffer.getvalue().strip().splitlines()) != 2501:
         return False
-    by_point = {(row.g_over_kappa, row.kappa_s_over_kappa): row.values for row in rows}
+    by_point = {(g, ks): values for g, ks, values in rows}
     # Zero-coupling collapse: hot coefficients equal the cold pair whose
     # magnitudes sum to one, so the fidelity corner reads exactly 1/4.
     for ks in (0.0, 1.0):

@@ -239,6 +239,26 @@ def test_singular_cavity_names_g_and_gamma(capsys, argv):
     assert err == "error: g = 0.0 with gamma = 0.0: hot-cavity denominator magnitude 0.0 below 1e-15\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "toffoli", "--control", "+", "--control2", "+", "--target", "+",
+      "--mode", "realistic", "--g", "0", "--kappa-s", "2"],
+     "error: g = 0.0 with kappa_s = 2.0: cannot measure a zero state\n"),
+    (["sweep", "--g-min", "0", "--g-max", "0.5", "--g-steps", "2", "--ks-min", "1.5",
+      "--ks-max", "2", "--ks-steps", "2", "--outputs", "sim_f_cnot,sim_eta_toffoli"],
+     "error: g_over_kappa = 0.0 with kappa_s_over_kappa = 2.0: cannot measure a zero state\n"),
+])
+def test_zero_survival_names_g_and_kappa_s(capsys, tmp_path, argv, message):
+    # At g = 0 with kappa_s = 2 all four magnitudes are 1/2 and the (+, +, +)
+    # Toffoli keeps no amplitude: a parameter fault, exit 1, one line naming
+    # the point, nothing on stdout or in --out.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+    if argv[0] == "sweep":
+        path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 1
+        assert not path.exists()
+
+
 class TestDashLedNumbers:
     """``--flag -1e3`` reads as ``--flag=-1e3`` wherever the flag takes a number."""
 
@@ -430,10 +450,10 @@ class TestSweep:
         buffer = io.StringIO()
         write_csv(spec, rows, buffer)
         parsed = [line.split(",") for line in buffer.getvalue().strip().splitlines()[1:]]
-        for row, cells in zip(rows, parsed):
-            assert float(cells[0]) == row.g_over_kappa
-            assert float(cells[1]) == row.kappa_s_over_kappa
-            for value, cell in zip(row.values, cells[2:]):
+        for (g, ks, values), cells in zip(rows, parsed):
+            assert float(cells[0]) == g
+            assert float(cells[1]) == ks
+            for value, cell in zip(values, cells[2:]):
                 assert float(cell) == value
 
     def test_deterministic_output(self, capsys):

@@ -136,14 +136,14 @@ def test_sweep_sim_columns_match_the_dict_engine(convention):
         outputs=cli.SIM_OUTPUTS,
         sim_convention=convention,
     )
-    for row in cli.run_sweep(spec):
-        mode = GateMode.realistic(CavityParams(g=row.g_over_kappa, kappa_s=row.kappa_s_over_kappa))
+    for g, kappa_s, values in cli.run_sweep(spec):
+        mode = GateMode.realistic(CavityParams(g=g, kappa_s=kappa_s))
         want = []
         for gate in Gate:
             inputs = (QUBIT_PLUS,) * ARITY[gate]
             want.append((dict_fidelity(gate, inputs, mode, convention), dict_efficiency(gate, inputs, mode)))
         (f_cnot, eta_cnot), (f_toffoli, eta_toffoli) = want
-        got = dict(zip(cli.SIM_OUTPUTS, row.values))
+        got = dict(zip(cli.SIM_OUTPUTS, values))
         assert abs(got["sim_f_cnot"] - f_cnot) <= TOL
         assert abs(got["sim_f_toffoli"] - f_toffoli) <= TOL
         assert abs(got["sim_eta_cnot"] - eta_cnot) <= TOL
@@ -239,9 +239,9 @@ def test_sweep_over_several_chunks_equals_point_by_point(convention):
     assert len(rows) == 77 > cli.SWEEP_CHUNK
     # Not bit for bit: the matrix product may sum in another order for
     # another batch width, which moves the last bits.
-    for row in rows:
-        coeffs = coefficients(CavityParams(g=row.g_over_kappa, kappa_s=row.kappa_s_over_kappa))
-        got = dict(zip(cli.ALL_OUTPUTS, row.values))
+    for g, kappa_s, values in rows:
+        coeffs = coefficients(CavityParams(g=g, kappa_s=kappa_s))
+        got = dict(zip(cli.ALL_OUTPUTS, values))
         for gate, f_name, eta_name in (
             (Gate.CNOT, "sim_f_cnot", "sim_eta_cnot"),
             (Gate.TOFFOLI, "sim_f_toffoli", "sim_eta_toffoli"),

@@ -10,10 +10,14 @@ same error where the interpretation fails.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import random
 import sys
 import threading
+import tokenize
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from spincavity.circuits import (
     QubitState,
     _PROGRAMS,
     _finish,
+    _product_amplitudes,
     _run,
     _states,
     _survivors,
@@ -198,6 +203,121 @@ def test_detuned_failure_keeps_its_message(records):
     detuned = GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5, delta_c=0.7, delta_x=-0.3))
     with pytest.raises(StructureError, match=r"^squared norm 1\.14083090880494\d* exceeds 1 \+ 1e-09$"):
         _run(Gate.CNOT, inputs, detuned)
+
+
+@pytest.fixture
+def compiled_paths(monkeypatch, fresh_plans):
+    """The paths that runs compile, in order."""
+    paths = []
+    compile_path = circuits._compiled
+
+    def recorded(path, photon_count):
+        paths.append(path)
+        return compile_path(path, photon_count)
+
+    monkeypatch.setattr(circuits, "_compiled", recorded)
+    return paths
+
+
+def root_of(gate, inputs, mode):
+    table = mode.scatter_table()
+    support = _survivors(_product_amplitudes(inputs))[0]
+    return circuits._plan_root(gate, len(next(iter(table.values()))), support)
+
+
+def test_paths_per_root_stay_bounded(compiled_paths, monkeypatch):
+    # Magnitudes of 0 and 1/2 prune other kets on each cavity, so most runs
+    # miss the paths recorded before them; a root keeps at most
+    # _PATHS_PER_ROOT, and every run still gets the interpreted bits.
+    monkeypatch.setattr(circuits, "_PATHS_PER_ROOT", 3)
+    inputs = (QUBIT_PLUS, QUBIT_R)
+    for t, r, t0, r0 in itertools.product((0.0, 0.5), repeat=4):
+        mode = GateMode.with_coefficients(ScatterCoeffs(t=t, r=r, t0=t0, r0=r0))
+        for _ in range(2):
+            assert run_bits(Gate.CNOT, inputs, mode, _run) == run_bits(Gate.CNOT, inputs, mode, interpret)
+            root = root_of(Gate.CNOT, inputs, mode)
+            assert len(root.paths) <= 3
+    # Fifteen paths exist and most runs missed, but a failed recording keeps
+    # its slot: two paths were compiled, from the third and fourth misses.
+    assert len(root.paths) == len(compiled_paths) == 2
+    assert root.misses > 20
+
+
+def test_equal_paths_compile_to_equal_sources(fresh_plans, monkeypatch):
+    # Other inputs of the same support on another cavity record the same path
+    # under a new root, and it compiles to the same source: the source holds
+    # integer indices and fixed names, never an amplitude.
+    written = []
+    path_source = circuits._path_source
+
+    def recorded(path, photon_count):
+        sources, namespace = path_source(path, photon_count)
+        written.append((path, sources))
+        return sources, namespace
+
+    monkeypatch.setattr(circuits, "_path_source", recorded)
+    for inputs, params in (
+        ((qubit(0.4, 1.1), qubit(1.2, 0.3), qubit(0.9, 2.0)), CavityParams(g=2.4, kappa_s=0.5)),
+        ((qubit(1.0, 0.2), qubit(0.3, 2.5), qubit(0.7, 4.0)), CavityParams(g=0.7, kappa_s=0.9)),
+    ):
+        circuits._plan_root.cache_clear()
+        for _ in range(2):
+            _run(Gate.TOFFOLI, inputs, GateMode.realistic(params))
+    (first, sources), (second, again) = written
+    assert first == second
+    assert sources == again
+    numbers = {
+        token.string
+        for source in sources
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.NUMBER
+    }
+    assert all(number.isdigit() for number in numbers - {"0j", "1.0"})
+
+
+def amplitudes_all(table, value):
+    return {key: tuple((*term[:3], value) for term in terms) for key, terms in table.items()}
+
+
+def test_failing_values_leave_a_path_quietly(fresh_plans):
+    # Tables that gain norm (detuned, or magnitudes of 0.9 that keep the
+    # recorded kets and fail only the squared-norm cap), or amplitudes that
+    # are NaN or infinite: the compiled path returns None rather than
+    # raising, and the run then fails with the interpretation's own error
+    # and message.
+    inputs = (QUBIT_PLUS, QUBIT_PLUS)
+    resonant = GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5))
+    for _ in range(2):
+        _run(Gate.CNOT, inputs, resonant)
+    (replay,) = root_of(Gate.CNOT, inputs, resonant).paths
+    gaining = (
+        GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5, delta_c=0.7, delta_x=-0.3)),
+        GateMode.with_coefficients(ScatterCoeffs(t=0.9, r=0.9, t0=-0.9, r0=0.9)),
+    )
+    tables = [mode.scatter_table() for mode in gaining]
+    tables += [amplitudes_all(resonant.scatter_table(), value) for value in (math.nan, math.inf)]
+    for table in tables:
+        table_values = tuple(term[3] for terms in table.values() for term in terms)
+        assert replay(_product_amplitudes(inputs), table_values) is None
+        mode = SimpleNamespace(scatter_table=lambda table=table: table)
+        want = run_bits(Gate.CNOT, inputs, mode, interpret)
+        assert want[0] is StructureError
+        assert run_bits(Gate.CNOT, inputs, mode, _run) == want
+    assert root_of(Gate.CNOT, inputs, resonant).paths == (replay,)
+
+
+def test_runs_that_leave_a_path_midway_are_interpreted(compiled_paths):
+    # A control component of 1.5e-12 passes the input's pruning, as 1e-11
+    # does, so both reach one root; a few steps in it falls below PRUNE_EPS
+    # and leaves the path 1e-11 recorded.
+    mode = GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5))
+    for beta in (1e-11, 1e-11, 1.5e-12, 1.5e-12, 1.5e-12):
+        inputs = (QubitState(math.sqrt(1.0 - beta * beta), beta), QUBIT_PLUS)
+        assert run_bits(Gate.CNOT, inputs, mode, _run) == run_bits(Gate.CNOT, inputs, mode, interpret)
+    assert circuits._plan_root.cache_info().currsize == 1
+    first, second = compiled_paths
+    assert first.steps[0] == second.steps[0]
+    assert first.steps[-1] != second.steps[-1]
 
 
 def test_threads_record_and_replay_alike(fresh_plans, monkeypatch):

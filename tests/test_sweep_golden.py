@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from conftest import GOLDEN_DIR
 from spincavity import cli
 from spincavity.cavity import CavityParams, SingularParameterError, coefficients, resonant_magnitudes
+from spincavity.circuits import QUBIT_PLUS, Gate, gate_figures
+from spincavity.hilbert import DegenerateStateError
 from spincavity.metrics import GateFigures, closed_form_figures, magnitude_figures
 
 
@@ -132,19 +134,41 @@ def test_sweep_rows_equal_the_point_by_point_path(g_range, ks_range, gamma, outp
     assert got == want
 
 
+def survives(g, kappa_s, gamma):
+    """Whether both simulated gates keep some amplitude at this resonant point."""
+    coeffs = coefficients(CavityParams(g=g, kappa_s=kappa_s, gamma=gamma))
+    try:
+        for gate in Gate:
+            gate_figures(gate, (QUBIT_PLUS,) * (2 if gate is Gate.CNOT else 3), coeffs)
+    except DegenerateStateError:
+        return False
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(sweep_ranges(), sweep_ranges(), st.floats(0.0, 3.0), st.sampled_from(cli.FIDELITY_CONVENTIONS))
+@example(cli.SweepRange(0.0, 0.5, 2), cli.SweepRange(1.5, 2.0, 2), 0.1, "per-branch-averaged")
 def test_simulated_fidelities_pass_one_by_rounding_only(g_range, ks_range, gamma, convention):
     """``per_branch / survival`` rounds either side of one where a gate
-    reconstructs its ideal output; 4 ulps (8.9e-16) is the most seen."""
+    reconstructs its ideal output; 4 ulps (8.9e-16) is the most seen.
+
+    Where a gate keeps no amplitude (the Toffoli at g = 0, kappa_s = 2, the
+    example) the sweep fails with a message that names the grid's first such
+    point.
+    """
     spec = cli.SweepSpec(
         g_range, ks_range, gamma_over_kappa=gamma,
         outputs=("sim_f_cnot", "sim_f_toffoli"), sim_convention=convention,
     )
+    grid = list(itertools.product(g_range.points(), ks_range.points()))
     try:
         rows = list(cli.run_sweep(spec))
-    except cli.ConfigError:  # a singular first point
-        assume(False)
+    except cli.ConfigError as exc:
+        assume("gamma_over_kappa" not in str(exc))  # a singular first point
+        first = next(point for point in grid if not survives(*point, gamma))
+        message = "g_over_kappa = %r with kappa_s_over_kappa = %r: cannot measure a zero state"
+        assert str(exc) == message % first
+        return
     for _, _, values in rows:
         for value in values:
             assert 0.0 <= value <= 1.0 + 1e-14
@@ -190,10 +214,10 @@ def test_signed_zero_coordinates_format_apart():
         outputs=("f_cnot",),
     )
     rows = [
-        cli.SweepRow(0.0, -0.0, (0.25,)),
-        cli.SweepRow(-0.0, 0.0, (-0.0,)),
-        cli.SweepRow(0.0, -0.0, (0.0,)),
-        cli.SweepRow(-0.0, -0.0, (0.5,)),
+        (0.0, -0.0, (0.25,)),
+        (-0.0, 0.0, (-0.0,)),
+        (0.0, -0.0, (0.0,)),
+        (-0.0, -0.0, (0.5,)),
     ]
     buffer = io.StringIO()
     cli.write_csv(spec, rows, buffer)
