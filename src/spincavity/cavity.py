@@ -16,8 +16,10 @@ which is fixed at one; this matches the axes used everywhere downstream
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .hilbert import Polarization, Propagation, SpinBasis, StateError
 
@@ -181,10 +183,22 @@ def _couples(polarization: Polarization, propagation: Propagation, spin: SpinBas
     return sz_positive == (spin is SpinBasis.UP)
 
 
-PhotonState = tuple[Polarization, Propagation]
-ScatterKey = tuple[PhotonState, SpinBasis]
-ScatterTerm = tuple[Polarization, Propagation, SpinBasis, complex]
-ScatterTable = dict[ScatterKey, tuple[ScatterTerm, ...]]
+ScatterKey = tuple[tuple[Polarization, Propagation], SpinBasis]
+ScatterRoute = tuple[Polarization, Propagation, SpinBasis, int]
+
+
+class ScatterTable(NamedTuple):
+    """Photon-spin scattering as fixed routes and the amplitudes they carry.
+
+    ``routes[key]`` holds one ``(polarization, propagation, spin, slot)`` per
+    term of ``key``'s image, and ``amplitudes[slot]`` that term's signed
+    amplitude. Only the amplitudes depend on the cavity: every ideal table
+    shares one set of routes, and every realistic table another.
+    """
+
+    routes: Mapping[ScatterKey, tuple[ScatterRoute, ...]]
+    amplitudes: tuple[float, ...]
+
 
 _ALL_KEYS: tuple[ScatterKey, ...] = tuple(
     ((pol, prop), spin)
@@ -192,6 +206,31 @@ _ALL_KEYS: tuple[ScatterKey, ...] = tuple(
     for prop in Propagation
     for spin in SpinBasis
 )
+
+#: Which of (|t|, |r|, -|t0|, -|r0|) each slot of a realistic table carries,
+#: slots numbered key by key: a coupled key reflects |r| and transmits |t|,
+#: an uncoupled one transmits -|t0| and reflects -|r0|.
+REALISTIC_PARTS: tuple[int, ...] = tuple(
+    part for (pol, prop), spin in _ALL_KEYS for part in ((1, 0) if _couples(pol, prop, spin) else (2, 3))
+)
+
+
+def _routes(parts: tuple[int, ...]) -> Mapping[ScatterKey, tuple[ScatterRoute, ...]]:
+    """The keys' routes, ``parts`` dealt out over them in order. The parts of r and
+    r0 reflect, flipping polarization and direction; those of t and t0 transmit."""
+    per_key, routes = len(parts) // len(_ALL_KEYS), {}
+    for slot, part in enumerate(parts):
+        (pol, prop), spin = key = _ALL_KEYS[slot // per_key]
+        route = (pol.flipped, prop.flipped, spin, slot) if part in (1, 3) else (pol, prop, spin, slot)
+        routes[key] = routes.get(key, ()) + (route,)
+    return MappingProxyType(routes)
+
+
+_REALISTIC_ROUTES = _routes(REALISTIC_PARTS)
+_realistic_amplitudes = operator.itemgetter(*REALISTIC_PARTS)
+#: The realistic table at the ideal (|t|, |r|, |t0|, |r0|) = (0, 1, 1, 0), less each
+#: key's second term, which is zero there.
+_IDEAL_TABLE = ScatterTable(_routes(REALISTIC_PARTS[::2]), _realistic_amplitudes((0.0, 1.0, -1.0, -0.0))[::2])
 
 
 def ideal_scatter() -> ScatterTable:
@@ -201,13 +240,7 @@ def ideal_scatter() -> ScatterTable:
     unit amplitude. Uncoupled combinations transmit with a sign flip. The
     map is unitary, and applying it twice returns every ket to itself.
     """
-    table: ScatterTable = {}
-    for (pol, prop), spin in _ALL_KEYS:
-        if _couples(pol, prop, spin):
-            table[((pol, prop), spin)] = ((pol.flipped, prop.flipped, spin, 1.0),)
-        else:
-            table[((pol, prop), spin)] = ((pol, prop, spin, -1.0),)
-    return table
+    return _IDEAL_TABLE
 
 
 def checked_magnitudes(magnitudes: tuple[float, float, float, float]) -> tuple[float, ...]:
@@ -223,21 +256,10 @@ def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
 
     Coupled combinations split into a reflected part weighted |r| and a
     transmitted part weighted |t|; uncoupled ones into -|t0| transmitted and
-    -|r0| reflected. With the ideal coefficient set this reduces exactly to
-    :func:`ideal_scatter`; otherwise the map contracts the norm, the deficit
-    being the photon lost to side leakage.
+    -|r0| reflected (see :data:`REALISTIC_PARTS`). With the ideal coefficient
+    set this reduces exactly to :func:`ideal_scatter`, up to terms of zero
+    amplitude; otherwise the map contracts the norm, the deficit being the
+    photon lost to side leakage.
     """
     at, ar, at0, ar0 = checked_magnitudes(coeffs.magnitudes)
-    table: ScatterTable = {}
-    for (pol, prop), spin in _ALL_KEYS:
-        if _couples(pol, prop, spin):
-            table[((pol, prop), spin)] = (
-                (pol.flipped, prop.flipped, spin, ar),
-                (pol, prop, spin, at),
-            )
-        else:
-            table[((pol, prop), spin)] = (
-                (pol, prop, spin, -at0),
-                (pol.flipped, prop.flipped, spin, -ar0),
-            )
-    return table
+    return ScatterTable(_REALISTIC_ROUTES, _realistic_amplitudes((at, ar, -at0, -ar0)))

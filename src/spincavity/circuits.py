@@ -49,6 +49,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cavity import (
+    REALISTIC_PARTS,
     CavityParams,
     InvalidCoefficientError,
     ScatterCoeffs,
@@ -250,15 +251,13 @@ class Gate(Enum):
 
 @dataclass(frozen=True)
 class GateMode:
-    """Ideal scattering, or realistic scattering driven by cavity parameters.
+    """Ideal scattering (no ``coeffs``), or realistic scattering from cavity coefficients.
 
     Ideal mode uses the exact rule table rather than limit coefficients, so
-    ideal tests carry no floating-point limit artifacts; the equivalence of
-    the two routes is itself checked in the test suite, via the coefficient
-    injection hook.
+    ideal tests carry no floating-point limit artifacts; the test suite
+    checks that ``GateMode(ScatterCoeffs.ideal())`` runs the same gates.
     """
 
-    params: CavityParams | None = None
     coeffs: ScatterCoeffs | None = None
 
     @classmethod
@@ -267,19 +266,11 @@ class GateMode:
 
     @classmethod
     def realistic(cls, params: CavityParams) -> "GateMode":
-        return cls(params=params)
-
-    @classmethod
-    def with_coefficients(cls, coeffs: ScatterCoeffs) -> "GateMode":
-        """Realistic scattering with explicit coefficients (diagnostics, tests)."""
-        return cls(coeffs=coeffs)
+        """The cavity's coefficients, worked out here: a singular cavity raises now."""
+        return cls(coefficients(params))
 
     def scatter_table(self) -> ScatterTable:
-        if self.coeffs is not None:
-            return realistic_scatter(self.coeffs)
-        if self.params is not None:
-            return realistic_scatter(coefficients(self.params))
-        return ideal_scatter()
+        return ideal_scatter() if self.coeffs is None else realistic_scatter(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -328,12 +319,6 @@ class GateResult:
     branches: tuple[Branch, ...]
     survival: float
     trace: tuple[tuple[str, StateVector], ...]
-
-    def trace_state(self, name: str) -> StateVector:
-        for key, state in self.trace:
-            if key == name:
-                return state
-        raise KeyError(name)
 
 
 def _product_kets(in_modes: Sequence[int], spin: SpinBasis) -> list[BasisKet]:
@@ -385,16 +370,17 @@ def _cavity_pass(state: StateVector, step: CavityPass, table: ScatterTable) -> S
     """
     in_modes, out_down, out_up = step.in_modes, step.out_down, step.out_up
     merged = out_down == out_up
+    routes, amplitudes = table
 
     def joint(label_spin):
         label, spin = label_spin
         if label.mode not in in_modes:
             return (((label, spin), 1.0),)
         out = []
-        for pol, prop, new_spin, amp in table[((label.polarization, label.propagation), spin)]:
+        for pol, prop, new_spin, slot in routes[((label.polarization, label.propagation), spin)]:
             mode = out_down if prop is _DOWN_Z else out_up
             direction = _DOWN_Z if merged else prop
-            out.append(((PhotonLabel(pol, direction, mode), new_spin), amp))
+            out.append(((PhotonLabel(pol, direction, mode), new_spin), amplitudes[slot]))
         return out
 
     return apply_sited_map(state, PhotonSpinSite(step.photon), joint)
@@ -585,10 +571,9 @@ def _run(
     values = _product_amplitudes(inputs)
     support, log = _survivors(values), None
     if support is not None:
-        root = _plan_root(gate, len(next(iter(table.values()))), support[0])
-        table_values = tuple([term[3] for terms in table.values() for term in terms])
+        root = _plan_root(gate, len(table.amplitudes), support[0])
         for replay in root.paths:  # the first that stays on its path wins
-            if (replayed := replay(values, table_values)) is not None:
+            if (replayed := replay(values, table.amplitudes)) is not None:
                 return replayed
         with _PLANS_LOCK:
             root.misses += 1
@@ -605,7 +590,7 @@ def _run(
 # -- recorded runs ------------------------------------------------------------
 #
 # Which kets a run reaches, and so the order of every sum in it, depends only
-# on the gate, the scatter table's shape, the input support and which kets
+# on the gate, the scatter table's routes, the input support and which kets
 # each step prunes. Runs of a kind that miss are interpreted, from the second
 # on with their sited maps logged. Each logged run becomes a path, compiled
 # into straight-line code that later runs call: the same float operations in
@@ -621,6 +606,11 @@ class _Slot(float):
         slot = super().__new__(cls, value)
         slot.index = index
         return slot
+
+
+def _slotted(table: ScatterTable) -> ScatterTable:
+    """``table`` with each amplitude a :class:`_Slot` naming its slot."""
+    return table._replace(amplitudes=tuple(map(_Slot, table.amplitudes, itertools.count())))
 
 
 class _Step(NamedTuple):
@@ -658,9 +648,10 @@ _PLANS_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=64)
-def _plan_root(gate: Gate, terms_per_key: int, support: tuple | None) -> SimpleNamespace:
-    """The compiled paths, tried in order, of one gate, scatter-table shape and input
-    support (kept positions, None for all), and the count of runs that missed them."""
+def _plan_root(gate: Gate, slots: int, support: tuple | None) -> SimpleNamespace:
+    """The compiled paths, tried in order, of one gate, scatter-table routes (told apart
+    by their slot count) and input support (kept positions, None for all), and the count
+    of runs that missed them."""
     return SimpleNamespace(misses=0, paths=())
 
 
@@ -784,10 +775,10 @@ def _compiled(path: _Path, photon_count: int):
         exec(_part_code(source), namespace)
         parts.append(namespace.pop("part"))
 
-    def replay(values: list, table_values: tuple):
+    def replay(values: list, amplitudes: tuple):
         trace = []
         for part in parts:  # the last part returns the result
-            if (values := part(values, table_values, trace)) is None:
+            if (values := part(values, amplitudes, trace)) is None:
                 return None
         return values
 
@@ -800,10 +791,7 @@ def _interpret(
     """Interpret a run: its result and pre-readout state, and, with its sited maps logged
     to ``log``, the :class:`_Path` that replays it (else None)."""
     if log is not None:  # amplitudes that name their slot in the table, for the logged edges
-        count = itertools.count()
-        table = {
-            k: tuple((*t[:3], _Slot(t[3], next(count))) for t in terms) for k, terms in table.items()
-        }
+        table = _slotted(table)
     trace, marks = [], {}
     with recording(log):
         states = _states(program, inputs, table)
@@ -818,8 +806,7 @@ def _interpret(
     )
     if not log or 0 in marks:
         return result, state, None
-    slots = sum(map(len, table.values()))
-    return result, state, _path(program, log, source, marks, state, readout, slots)
+    return result, state, _path(program, log, source, marks, state, readout, len(table.amplitudes))
 
 
 def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pre: StateVector,
@@ -972,11 +959,11 @@ FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")
 # coefficients of those polynomials; a batch of parameter points then costs
 # one table of powers and one matrix product.
 
-#: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. All four
-#: values differ and |t| + |r|, |t0| + |r0| stay below one: on resonance both
-#: sums are one and some amplitudes cancel there, so supports recorded at a
-#: resonant point would miss kets that other points reach. The second set
-#: guards the first against an accidental cancellation.
+#: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. |t| + |r|
+#: and |t0| + |r0| stay below one: on resonance both sums are one and some
+#: amplitudes cancel there, so supports recorded at a resonant point would miss
+#: kets that other points reach. The second set guards the first against an
+#: accidental cancellation.
 _GENERIC_POINTS = (
     ScatterCoeffs(t=0.21, r=0.67, t0=0.58, r0=0.29),
     ScatterCoeffs(t=0.37, r=0.44, t0=0.19, r0=0.73),
@@ -987,10 +974,6 @@ _GENERIC_POINTS = (
 #: ``PRUNE_EPS`` that the generic runs would prune, and with it the kets it
 #: reaches; the generic stand-ins keep every component large.
 _GENERIC_QUBITS = (QubitState(0.6, 0.8), QubitState(0.8, 0.6), QubitState(0.28, 0.96))
-
-#: The eight magnitudes of the generic points, pairwise distinct and none 1.0,
-#: so a cavity pass's logged edge names its part by its magnitude.
-_GENERIC_MAGNITUDES = tuple(m for c in _GENERIC_POINTS for m in c.magnitudes)
 
 
 class _Monomials(NamedTuple):
@@ -1112,8 +1095,8 @@ def _edge_matrix(log: list, kets: Sequence[BasisKet], index: dict[BasisKet, int]
 
     Edges to kets outside the support are dropped: in the gate's runs they
     cancel by interference. A fixed element's entries are its coefficients. A
-    pass stacks its bypass (coefficient 1.0) and one part per magnitude, each
-    entry the sign of an edge whose magnitude names the part.
+    pass stacks its bypass (a constant coefficient) and one part per magnitude,
+    each entry the sign of an edge whose table slot names the part.
     """
     column = {ket: j for j, ket in enumerate(kets)}
     matrix = np.zeros((5, len(index), len(kets)) if cavity else (len(index), len(kets)))
@@ -1122,7 +1105,7 @@ def _edge_matrix(log: list, kets: Sequence[BasisKet], index: dict[BasisKet, int]
             if (row := index.get(out)) is None:
                 continue
             if cavity:
-                part = 0 if coeff == 1.0 else 1 + _GENERIC_MAGNITUDES.index(abs(coeff)) % 4
+                part = 1 + REALISTIC_PARTS[coeff.index] if type(coeff) is _Slot else 0
                 matrix[part, row, column[ket]] = math.copysign(1.0, coeff)
             else:
                 matrix[row, column[ket]] = coeff
@@ -1166,7 +1149,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
         generic if q.alpha and q.beta else q for q, generic in zip(inputs, _GENERIC_QUBITS)
     )
     generic_runs = [
-        _states(program, generic_inputs, realistic_scatter(c)) for c in _GENERIC_POINTS
+        _states(program, generic_inputs, _slotted(realistic_scatter(c))) for c in _GENERIC_POINTS
     ]
     passes: list[np.ndarray] = []
     fold = None  # fixed elements since the last pass

@@ -277,14 +277,6 @@ def parse_qubit(token: str) -> QubitState:
     raise ConfigError(f"bad qubit token {token!r} (use R, L, +, -, or alpha:beta)")
 
 
-def _gate_mode(args) -> GateMode:
-    if args.mode == "ideal":
-        return GateMode.ideal()
-    return GateMode.realistic(
-        CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma)
-    )
-
-
 def cmd_coeffs(args, out: TextIO) -> int:
     params = CavityParams(
         g=args.g,
@@ -300,18 +292,17 @@ def cmd_coeffs(args, out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
-    mode = _gate_mode(args)
+    # Faults are reported in this order: a rate, a missing or bad qubit, then a
+    # singular cavity, which only working out the coefficients finds.
+    params = None if args.mode == "ideal" else CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma)
     if args.gate == "cnot":
-        result = cnot(parse_qubit(args.control), parse_qubit(args.target), mode)
+        qubits = parse_qubit(args.control), parse_qubit(args.target)
     else:
         if args.control2 is None:
             raise ConfigError("toffoli needs --control2")
-        result = toffoli(
-            parse_qubit(args.control),
-            parse_qubit(args.control2),
-            parse_qubit(args.target),
-            mode,
-        )
+        qubits = parse_qubit(args.control), parse_qubit(args.control2), parse_qubit(args.target)
+    mode = GateMode.ideal() if params is None else GateMode.realistic(params)
+    result = (cnot if args.gate == "cnot" else toffoli)(*qubits, mode)
     lines = [f"gate {args.gate}", f"mode {args.mode}"]
     if args.trace:
         for name, state in result.trace:

@@ -254,9 +254,6 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    def is_zero(self) -> bool:
-        return not self._amps
-
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n <= PRUNE_EPS:

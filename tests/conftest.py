@@ -80,13 +80,18 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) 
         return False
     if abs(a.norm() - b.norm()) > tol:
         return False
-    if a.is_zero() and b.is_zero():
+    if not len(a) and not len(b):
         return True
     overlap = inner_product(a, b)
     if abs(overlap) <= tol:
         return False
     phase = overlap / abs(overlap)
     return allclose(a.scaled(phase), b, tol)
+
+
+def scatter_terms(table, key):
+    """``(polarization, propagation, spin, amplitude)`` of each term of ``key``'s image."""
+    return tuple((pol, prop, spin, table.amplitudes[slot]) for pol, prop, spin, slot in table.routes[key])
 
 
 def scatter_as_sited_map(table):
@@ -96,7 +101,7 @@ def scatter_as_sited_map(table):
         label, spin = label_spin
         return [
             ((PhotonLabel(pol, prop, label.mode), new_spin), amp)
-            for pol, prop, new_spin, amp in table[((label.polarization, label.propagation), spin)]
+            for pol, prop, new_spin, amp in scatter_terms(table, ((label.polarization, label.propagation), spin))
         ]
 
     return joint

@@ -132,9 +132,9 @@ class TestIdealCnot:
         ]
         for _, state in result.trace:
             assert abs(state.norm_squared() - 1.0) < 1e-9
-        assert result.trace_state("omega_3") is result.trace[2][1]
+        assert dict(result.trace)["omega_3"] is result.trace[2][1]
         with pytest.raises(KeyError):
-            result.trace_state("omega_9")
+            dict(result.trace)["omega_9"]
 
 
 class TestIdealToffoli:
@@ -168,7 +168,7 @@ class TestIdealToffoli:
 
 class TestRealisticMode:
     def test_injected_ideal_coefficients_match_ideal_mode(self, rng):
-        mode = GateMode.with_coefficients(ScatterCoeffs.ideal())
+        mode = GateMode(ScatterCoeffs.ideal())
         for _ in range(5):
             inputs = (random_qubit(rng), random_qubit(rng))
             real = cnot(*inputs, mode)
@@ -331,7 +331,7 @@ def test_ideal_mode_equals_ideal_coefficients(gate, rand):
     run = cnot if gate is Gate.CNOT else toffoli
     inputs = [random_qubit(rand) for _ in _PROGRAMS[gate].in_modes]
     ideal = run(*inputs)
-    injected = run(*inputs, GateMode.with_coefficients(ScatterCoeffs.ideal()))
+    injected = run(*inputs, GateMode(ScatterCoeffs.ideal()))
     assert injected.survival == pytest.approx(ideal.survival, abs=1e-12)
     assert [name for name, _ in injected.trace] == [name for name, _ in ideal.trace]
     for (_, got), (_, want) in zip(injected.trace, ideal.trace):

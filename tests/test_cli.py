@@ -240,6 +240,20 @@ def test_singular_cavity_names_g_and_gamma(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["simulate", "cnot", "--control", "bad", "--target", "R", "--mode", "realistic", "--g", "0", "--gamma", "0"],
+     "error: bad qubit token 'bad' (use R, L, +, -, or alpha:beta)\n"),
+    (["simulate", "toffoli", "--control", "+", "--target", "R", "--mode", "realistic", "--g", "0", "--gamma", "0"],
+     "error: toffoli needs --control2\n"),
+    (["simulate", "cnot", "--control", "bad", "--target", "R", "--mode", "realistic", "--g=-1", "--gamma", "0"],
+     "error: rates g, kappa_s, gamma must be non-negative\n"),
+])
+def test_simulate_reports_a_rate_then_the_qubits_then_a_singular_cavity(capsys, argv, message):
+    # The coefficients are worked out where the gate mode is built, after the
+    # qubits are read; a bad rate is still reported before them.
+    assert run_cli(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv,message", [
     (["simulate", "toffoli", "--control", "+", "--control2", "+", "--target", "+",
       "--mode", "realistic", "--g", "0", "--kappa-s", "2"],
      "error: g = 0.0 with kappa_s = 2.0: cannot measure a zero state\n"),

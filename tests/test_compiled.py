@@ -72,7 +72,7 @@ mixed_coeffs = st.one_of(resonant_params.map(coefficients), contractive_coeffs()
 
 
 def assert_agrees(gate, inputs, coeffs: ScatterCoeffs) -> None:
-    mode = GateMode.with_coefficients(coeffs)
+    mode = GateMode(coeffs)
     try:
         want = (
             dict_fidelity(gate, inputs, mode),
@@ -173,7 +173,7 @@ def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_se
     gate, inputs = gate_and_inputs
     ideal = _run(gate, inputs, GateMode.ideal())
     try:
-        want = [dict_figures(gate, inputs, GateMode.with_coefficients(c), ideal) for c in coeffs_seq]
+        want = [dict_figures(gate, inputs, GateMode(c), ideal) for c in coeffs_seq]
     except DegenerateStateError:
         with pytest.raises(DegenerateStateError):
             gate_figures_many(gate, inputs, coeffs_seq)
@@ -187,12 +187,29 @@ def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_se
         assert abs(figures.pre_measurement * figures.survival - pre * survival) <= TOL
 
 
-def test_generic_magnitudes_name_the_parts_of_a_pass():
-    # The compiler reads which part of a cavity pass a logged edge belongs to
-    # from the edge's magnitude, and the bypass from the coefficient 1.0.
-    magnitudes = [m for coeffs in _GENERIC_POINTS for m in coeffs.magnitudes]
-    assert len(set(magnitudes)) == len(magnitudes) == 8
-    assert 1.0 not in magnitudes
+def assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs):
+    """:func:`assert_agrees`, with the gate compiled at the generic ``points``."""
+    monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
+    # No compile made at other generic points may serve it, nor outlive it.
+    _compile.cache_clear()
+    _stack.cache_clear()
+    try:
+        assert_agrees(gate, inputs, coeffs)
+    finally:
+        _compile.cache_clear()
+        _stack.cache_clear()
+
+
+@pytest.mark.parametrize("gate", list(Gate))
+def test_compiles_at_generic_points_whose_magnitudes_coincide(monkeypatch, gate):
+    # A logged edge names its part of a cavity pass by the table slot of its
+    # amplitude, not by the amplitude's value, so the magnitudes of a point may
+    # coincide. (At |t| = |r| and |t0| = |r0| some Toffoli kets cancel, so the
+    # second point may not: it keeps them in the supports.)
+    points = (ScatterCoeffs(t=0.29, r=0.29, t0=0.41, r0=0.41), _GENERIC_POINTS[1])
+    inputs = (QubitState(0.6, 0.8), QUBIT_R, QUBIT_PLUS)[:ARITY[gate]]
+    for coeffs in (coefficients(CavityParams(g=2.4, kappa_s=0.5)), ScatterCoeffs(t=0.1, r=0.7, t0=0.5, r0=0.2)):
+        assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs)
 
 
 #: On resonance (|t| + |r| = |t0| + |r0| = 1) amplitudes cancel between kets.
@@ -207,16 +224,8 @@ def test_compiles_where_the_generic_runs_cancel_kets(monkeypatch, gate, points):
     # fixed elements log edges into kets that both runs cancel, which the
     # compiler drops. Either way the gate agrees with the dict engine on
     # resonance.
-    monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
-    monkeypatch.setattr(circuits, "_GENERIC_MAGNITUDES", tuple(m for c in points for m in c.magnitudes))
-    # No compile made at other generic points may serve it, nor outlive it.
-    _compile.cache_clear()
-    _stack.cache_clear()
-    try:
-        assert_agrees(gate, (QUBIT_PLUS,) * ARITY[gate], coefficients(CavityParams(g=2.4, kappa_s=0.5)))
-    finally:
-        _compile.cache_clear()
-        _stack.cache_clear()
+    coeffs = coefficients(CavityParams(g=2.4, kappa_s=0.5))
+    assert_agrees_compiled_at(monkeypatch, points, gate, (QUBIT_PLUS,) * ARITY[gate], coeffs)
 
 
 def test_input_amplitude_near_the_pruning_threshold():

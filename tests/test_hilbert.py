@@ -201,7 +201,7 @@ class TestStateVector:
         state = StateVector(
             {ket(photon(R)): 1e-13}, photon_count=1, has_spin=False
         )
-        assert state.is_zero()
+        assert not len(state)
 
     def test_norm_cap(self):
         with pytest.raises(StructureError):

@@ -107,9 +107,7 @@ modes = st.one_of(
         st.floats(0.01, 1.0),
     ),
     st.builds(
-        lambda t, r, t0, r0: GateMode.with_coefficients(
-            ScatterCoeffs(t=t, r=(1.0 - t) * r, t0=t0, r0=(1.0 - t0) * r0)
-        ),
+        lambda t, r, t0, r0: GateMode(ScatterCoeffs(t=t, r=(1.0 - t) * r, t0=t0, r0=(1.0 - t0) * r0)),
         magnitudes, magnitudes, magnitudes, magnitudes,
     ),
     # Detuned: the magnitude table can gain norm, and then both must fail alike.
@@ -220,9 +218,8 @@ def compiled_paths(monkeypatch, fresh_plans):
 
 
 def root_of(gate, inputs, mode):
-    table = mode.scatter_table()
     support = _survivors(_product_amplitudes(inputs))[0]
-    return circuits._plan_root(gate, len(next(iter(table.values()))), support)
+    return circuits._plan_root(gate, len(mode.scatter_table().amplitudes), support)
 
 
 def test_paths_per_root_stay_bounded(compiled_paths, monkeypatch):
@@ -232,7 +229,7 @@ def test_paths_per_root_stay_bounded(compiled_paths, monkeypatch):
     monkeypatch.setattr(circuits, "_PATHS_PER_ROOT", 3)
     inputs = (QUBIT_PLUS, QUBIT_R)
     for t, r, t0, r0 in itertools.product((0.0, 0.5), repeat=4):
-        mode = GateMode.with_coefficients(ScatterCoeffs(t=t, r=r, t0=t0, r0=r0))
+        mode = GateMode(ScatterCoeffs(t=t, r=r, t0=t0, r0=r0))
         for _ in range(2):
             assert run_bits(Gate.CNOT, inputs, mode, _run) == run_bits(Gate.CNOT, inputs, mode, interpret)
             root = root_of(Gate.CNOT, inputs, mode)
@@ -275,8 +272,23 @@ def test_equal_paths_compile_to_equal_sources(fresh_plans, monkeypatch):
     assert all(number.isdigit() for number in numbers - {"0j", "1.0"})
 
 
+@pytest.mark.parametrize("mode", [GateMode.ideal(), GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5))])
+@pytest.mark.parametrize("gate", list(Gate))
+def test_every_run_builds_one_scatter_table(fresh_plans, monkeypatch, gate, mode):
+    # The benchmark counts gate runs by their GateMode.scatter_table calls:
+    # one per cnot or toffoli run, interpreted, recorded or replayed.
+    inputs = (QUBIT_PLUS,) * ARITY[gate]
+    root = root_of(gate, inputs, mode)
+    calls, build = [], GateMode.scatter_table
+    monkeypatch.setattr(GateMode, "scatter_table", lambda self: calls.append(self) or build(self))
+    run = circuits.cnot if gate is Gate.CNOT else circuits.toffoli
+    for runs, misses, paths in ((1, 1, 0), (2, 2, 1), (3, 2, 1)):  # interpreted, recorded, replayed
+        run(*inputs, mode)
+        assert (len(calls), root.misses, len(root.paths)) == (runs, misses, paths)
+
+
 def amplitudes_all(table, value):
-    return {key: tuple((*term[:3], value) for term in terms) for key, terms in table.items()}
+    return table._replace(amplitudes=(value,) * len(table.amplitudes))
 
 
 def test_failing_values_leave_a_path_quietly(fresh_plans):
@@ -292,13 +304,12 @@ def test_failing_values_leave_a_path_quietly(fresh_plans):
     (replay,) = root_of(Gate.CNOT, inputs, resonant).paths
     gaining = (
         GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5, delta_c=0.7, delta_x=-0.3)),
-        GateMode.with_coefficients(ScatterCoeffs(t=0.9, r=0.9, t0=-0.9, r0=0.9)),
+        GateMode(ScatterCoeffs(t=0.9, r=0.9, t0=-0.9, r0=0.9)),
     )
     tables = [mode.scatter_table() for mode in gaining]
     tables += [amplitudes_all(resonant.scatter_table(), value) for value in (math.nan, math.inf)]
     for table in tables:
-        table_values = tuple(term[3] for terms in table.values() for term in terms)
-        assert replay(_product_amplitudes(inputs), table_values) is None
+        assert replay(_product_amplitudes(inputs), table.amplitudes) is None
         mode = SimpleNamespace(scatter_table=lambda table=table: table)
         want = run_bits(Gate.CNOT, inputs, mode, interpret)
         assert want[0] is StructureError
