@@ -25,7 +25,6 @@ from .circuits import (
     SimulatedFigures,
     cnot,
     gate_figures,
-    gate_figures_many,
     ideal_oracle,
     simulated_efficiency,
     simulated_fidelity,
@@ -54,7 +53,6 @@ from .hilbert import (
     StateVector,
     StructureError,
     apply_sited_map,
-    fidelity,
     inner_product,
     measure_spin,
 )

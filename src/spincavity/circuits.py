@@ -28,10 +28,10 @@ amplitude riding along to the output (fidelity).
 
 Each gate is written once, as a sequence of steps. The dict engine
 interprets it for single runs, recording runs of a kind that repeats as
-compiled paths that later runs replay bit for bit, and also compiles it into
-polynomials in the coefficient magnitudes for :func:`stacked_figures`,
-which evaluates fidelities and survival over batches of cavity parameters
-without rerunning the circuit.
+paths that later runs replay bit for bit. The path recorded of a generic run
+also compiles into polynomials in the coefficient magnitudes for
+:func:`stacked_figures`, which evaluates fidelities and survival over
+batches of cavity parameters without rerunning the circuit.
 """
 
 from __future__ import annotations
@@ -536,15 +536,6 @@ def _readout(state: StateVector, ff_rule):
         yield outcome, probability, post, _canonical_photonic(feed_forward(post, outcome, ff_rule))
 
 
-def _finish(
-    state: StateVector,
-    ff_rule,
-    trace: list[tuple[str, StateVector]],
-) -> GateResult:
-    branches = tuple(Branch(o, p, out) for o, p, _, out in _readout(state, ff_rule))
-    return GateResult(branches, state.norm_squared(), tuple(trace))
-
-
 def _run(
     gate: Gate,
     inputs: Sequence[QubitState],
@@ -594,7 +585,8 @@ def _run(
 # each step prunes. Runs of a kind that miss are interpreted, from the second
 # on with their sited maps logged. Each logged run becomes a path, compiled
 # into straight-line code that later runs call: the same float operations in
-# the same order, and every value check.
+# the same order, and every value check. The paths of two generic runs are
+# also what :func:`_compile` reads its polynomials from.
 
 
 class _Slot(float):
@@ -606,11 +598,6 @@ class _Slot(float):
         slot = super().__new__(cls, value)
         slot.index = index
         return slot
-
-
-def _slotted(table: ScatterTable) -> ScatterTable:
-    """``table`` with each amplitude a :class:`_Slot` naming its slot."""
-    return table._replace(amplitudes=tuple(map(_Slot, table.amplitudes, itertools.count())))
 
 
 class _Step(NamedTuple):
@@ -791,7 +778,7 @@ def _interpret(
     """Interpret a run: its result and pre-readout state, and, with its sited maps logged
     to ``log``, the :class:`_Path` that replays it (else None)."""
     if log is not None:  # amplitudes that name their slot in the table, for the logged edges
-        table = _slotted(table)
+        table = table._replace(amplitudes=tuple(map(_Slot, table.amplitudes, itertools.count())))
     trace, marks = [], {}
     with recording(log):
         states = _states(program, inputs, table)
@@ -955,15 +942,16 @@ FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")
 # a pass is 1*B + |t|*A_t + |r|*A_r + |t0|*A_t0 + |r0|*A_r0 on a basis of at
 # most a few dozen kets. After k passes every amplitude is therefore a
 # polynomial of degree at most k in the four magnitudes. Each gate is
-# compiled once per input, with the dict engine as the compiler, into the
-# coefficients of those polynomials; a batch of parameter points then costs
-# one table of powers and one matrix product.
+# compiled once per input into the coefficients of those polynomials, read
+# from the path the replay recorder builds of a generic run; a batch of
+# parameter points then costs one table of powers and one matrix product.
 
 #: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. |t| + |r|
-#: and |t0| + |r0| stay below one: on resonance both sums are one and some
-#: amplitudes cancel there, so supports recorded at a resonant point would miss
-#: kets that other points reach. The second set guards the first against an
-#: accidental cancellation.
+#: and |t0| + |r0| stay below one, and no simple relation such as |t| = |r| or
+#: |t| + |r| = |t0| + |r0| holds: at such points some amplitudes cancel (on
+#: resonance both sums are one), and a path recorded there would miss kets that
+#: other points reach. Both runs must record one path, so a cancellation at one
+#: set alone fails the compile rather than dropping kets.
 _GENERIC_POINTS = (
     ScatterCoeffs(t=0.21, r=0.67, t0=0.58, r0=0.29),
     ScatterCoeffs(t=0.37, r=0.44, t0=0.19, r0=0.73),
@@ -1090,28 +1078,6 @@ def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
     return vector if vector.imag.any() else vector.real
 
 
-def _edge_matrix(log: list, kets: Sequence[BasisKet], index: dict[BasisKet, int], cavity: bool):
-    """One step's matrix onto the next support, from the edges both generic runs logged.
-
-    Edges to kets outside the support are dropped: in the gate's runs they
-    cancel by interference. A fixed element's entries are its coefficients. A
-    pass stacks its bypass (a constant coefficient) and one part per magnitude,
-    each entry the sign of an edge whose table slot names the part.
-    """
-    column = {ket: j for j, ket in enumerate(kets)}
-    matrix = np.zeros((5, len(index), len(kets)) if cavity else (len(index), len(kets)))
-    for _, edges, _ in log:
-        for ket, out, coeff in edges:
-            if (row := index.get(out)) is None:
-                continue
-            if cavity:
-                part = 1 + REALISTIC_PARTS[coeff.index] if type(coeff) is _Slot else 0
-                matrix[part, row, column[ket]] = math.copysign(1.0, coeff)
-            else:
-                matrix[row, column[ket]] = coeff
-    return matrix
-
-
 def _readout_row(
     kets: Sequence[BasisKet], outcome: SpinBasis, rule, reference: StateVector
 ) -> np.ndarray:
@@ -1136,45 +1102,48 @@ def _fold(coeffs: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @functools.lru_cache(maxsize=64)
 def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
-    """Compile ``gate`` on ``inputs`` once, with the dict engine as the compiler.
+    """Compile ``gate`` on ``inputs`` once, from the path the replay recorder builds.
 
-    Runs at the generic points, on inputs whose superposed qubits are
-    replaced by generic ones, log every step's edges and support and perform
-    every structural check (routing collisions, incomplete maps, switch
-    schedules, readout). The polynomials must reproduce those runs to 1e-12.
+    The inputs, their superposed qubits replaced by generic ones, are
+    interpreted at each generic point with every structural check (routing
+    collisions, incomplete maps, switch schedules, readout) and recorded. The
+    two runs must record one path, and so keep the same kets at every step;
+    the polynomials must reproduce both runs to 1e-12.
     """
     program = _PROGRAMS[gate]
     ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
     generic_inputs = tuple(
         generic if q.alpha and q.beta else q for q, generic in zip(inputs, _GENERIC_QUBITS)
     )
-    generic_runs = [
-        _states(program, generic_inputs, _slotted(realistic_scatter(c))) for c in _GENERIC_POINTS
-    ]
+    tables = [realistic_scatter(c) for c in _GENERIC_POINTS]
+    runs = [_interpret(program, generic_inputs, table, []) for table in tables]
+    path = runs[0][2]
+    if path is None or any(other != path for _, _, other in runs):
+        raise StructureError(f"the generic runs of the {program.name} record different paths")
+    product = {ket: j for j, ket in enumerate(_product_kets(program.in_modes, program.spin))}
+    initial, generic_initial = (_dense(_input_state(program, q), product) for q in (inputs, generic_inputs))
     passes: list[np.ndarray] = []
     fold = None  # fixed elements since the last pass
-    kets: list[BasisKet] = []
-    # The generic runs advance together and log one step's edges at a time.
-    with recording(log := []):
-        for (step, state), (_, other) in zip(*generic_runs):
-            if isinstance(step, str):
-                continue
-            next_kets = sorted(set(state.kets()).union(other.kets()))
-            index = {ket: i for i, ket in enumerate(next_kets)}
-            if step is None:
-                initial = _dense(_input_state(program, inputs), index)
-                generic_initial = _dense(state, index)
-            else:  # a cavity pass closes the fold of the fixed elements before it
-                matrix = _edge_matrix(log, kets, index, isinstance(step, CavityPass))
-                fold = matrix if fold is None else matrix @ fold
-                if isinstance(step, CavityPass):
-                    passes.append(fold)
-                    fold = None
-            kets = next_kets
-            log.clear()
-    finals = (state, other)
-    for final in finals:
-        _finish(final, program.feed_forward, [])
+    signs = [math.copysign(1.0, amplitude) for amplitude in tables[0].amplitudes]
+    column = {j: j for j in product.values()}  # each source's column: the kets the step before kept
+    for step in path.steps:
+        row = {out: i for i, out in enumerate(range(step.outputs) if step.kept is None else step.kept)}
+        # A fixed element or a pass's bypass, then a pass's part per magnitude, signed as its table slot.
+        parts = np.zeros((5, len(row), len(column)))
+        for source, out, index in step.edges:
+            if out in row:  # else a ket the generic runs cancel
+                slot = index < path.slots
+                value = signs[index] if slot else path.constants[index - path.slots]
+                parts[1 + REALISTIC_PARTS[index] if slot else 0, row[out], column[source]] = value
+        cavity = any(index < path.slots for _, _, index in step.edges)
+        matrix = parts if cavity else parts[0]
+        fold = matrix if fold is None else matrix @ fold
+        if cavity:  # a cavity pass closes the fold of the fixed elements before it
+            passes.append(fold)
+            fold = None
+        column = row
+    kets = path.steps[-1].kets
+    index = {ket: i for i, ket in enumerate(kets)}
 
     monomials = _monomials(len(passes))
     reference = ideal_result.branches[0].state
@@ -1196,7 +1165,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     del states
     check = compiled._replace(coeffs=_propagate(generic_initial, passes, fold, monomials)[-1])
     pre_readout = check.amplitudes(np.array([c.magnitudes for c in _GENERIC_POINTS]).T)
-    for column, final in enumerate(finals):
+    for column, (_, final, _) in enumerate(runs):
         error = np.abs(pre_readout[:, column] - _dense(final, index))
         if error.max() > 1e-12:
             raise StructureError(f"compiled {program.name} misses its generic run by {error.max()}")
@@ -1243,7 +1212,7 @@ def stacked_figures(
     kinds: Sequence[tuple[Gate, Sequence[QubitState]]],
     magnitudes_seq: Iterable[tuple[float, float, float, float]],
 ) -> list[list[SimulatedFigures]]:
-    """:func:`gate_figures_many` of each ``(gate, inputs)`` kind at each
+    """:func:`gate_figures` of each ``(gate, inputs)`` kind at each
     (|t|, |r|, |t0|, |r0|), from one evaluation; no kinds give no lists.
 
     Fails as evaluating the kinds one after another would: with the first
@@ -1270,18 +1239,6 @@ def stacked_figures(
     return [first, *figures]
 
 
-def gate_figures_many(
-    gate: Gate, inputs: Sequence[QubitState], coeffs_seq: Sequence[ScatterCoeffs]
-) -> list[SimulatedFigures]:
-    """:func:`gate_figures` at every coefficient set, from one batched evaluation.
-
-    Fails as evaluating the points one by one would: with the error of the
-    first point that fails, whether its magnitudes are invalid, a pass gains
-    norm, or nothing reaches the readout.
-    """
-    return stacked_figures(((gate, inputs),), (coeffs.magnitudes for coeffs in coeffs_seq))[0]
-
-
 def gate_figures(
     gate: Gate, inputs: Sequence[QubitState], coeffs: ScatterCoeffs
 ) -> SimulatedFigures:
@@ -1291,7 +1248,7 @@ def gate_figures(
     and comparing against the ideal run. The gate is compiled on first use
     per input tuple; later calls evaluate its polynomials.
     """
-    return gate_figures_many(gate, inputs, (coeffs,))[0]
+    return stacked_figures(((gate, inputs),), (coeffs.magnitudes,))[0][0]
 
 
 def simulated_fidelity(

@@ -42,16 +42,15 @@ class ScheduleExhaustedError(StateError):
     """A switch was asked for more passes than its schedule defines."""
 
 
-RouteKey = tuple  # (mode, polarization) or (mode, polarization, propagation)
-RouteTarget = tuple  # (mode, propagation) or (mode, propagation, phase), or SINK
+RouteKey = tuple  # (mode, polarization)
+RouteTarget = tuple  # (mode, propagation), or SINK
 
 
 @dataclass(frozen=True)
 class RoutingRule:
     """Finite rewrite table for a beam-splitter-like element.
 
-    Keys are ``(mode, polarization)`` or ``(mode, polarization, propagation)``;
-    targets are ``(mode, propagation)`` with an optional phase of +1 or -1,
+    Keys are ``(mode, polarization)``; targets are ``(mode, propagation)``,
     or :data:`SINK` to drop the amplitude into the loss channel. The table
     must be injective on its non-sink outputs so the element stays unitary
     on the amplitudes it keeps.
@@ -59,52 +58,35 @@ class RoutingRule:
 
     name: str
     table: Mapping[RouteKey, RouteTarget]
-    _normalized: dict = field(init=False, repr=False, compare=False)
     _input_modes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        normalized: dict[RouteKey, tuple[int, Propagation, float] | None] = {}
         outputs: set[tuple[Polarization, int, Propagation]] = set()
-        modes: set[int] = set()
         for key, target in self.table.items():
-            if len(key) not in (2, 3):
+            if len(key) != 2:
                 raise StateError(f"{self.name}: bad routing key {key!r}")
-            modes.add(key[0])
             if target is SINK:
-                normalized[key] = None
                 continue
-            if len(target) == 2:
-                mode, prop = target
-                phase = 1.0
-            else:
-                mode, prop, phase = target
-            if phase not in (1.0, -1.0, 1, -1):
-                raise StateError(f"{self.name}: phase must be +1 or -1, got {phase!r}")
-            out = (key[1], mode, prop)
+            if len(target) != 2:
+                raise StateError(f"{self.name}: bad routing target {target!r}")
+            out = (key[1], *target)
             if out in outputs:
                 raise StateError(
                     f"{self.name}: routing table is not injective at output {out!r}"
                 )
             outputs.add(out)
-            normalized[key] = (mode, prop, float(phase))
-        object.__setattr__(self, "_normalized", normalized)
-        object.__setattr__(self, "_input_modes", frozenset(modes))
+        object.__setattr__(self, "_input_modes", frozenset(key[0] for key in self.table))
 
     @property
     def input_modes(self) -> frozenset:
         return self._input_modes
 
     def target_for(self, label: PhotonLabel):
-        """Resolve a label, preferring the direction-specific entry."""
-        key3 = (label.mode, label.polarization, label.propagation)
-        if key3 in self._normalized:
-            return self._normalized[key3]
-        key2 = (label.mode, label.polarization)
-        if key2 in self._normalized:
-            return self._normalized[key2]
-        raise IncompleteMapError(
-            f"{self.name}: no routing entry for label {label.token!r}"
-        )
+        """Resolve a label to its ``(mode, propagation)``, or :data:`SINK`."""
+        key = (label.mode, label.polarization)
+        if key not in self.table:
+            raise IncompleteMapError(f"{self.name}: no routing entry for label {label.token!r}")
+        return self.table[key]
 
 
 def pbs(state: StateVector, photon: int, rule: RoutingRule) -> StateVector:
@@ -126,14 +108,14 @@ def pbs(state: StateVector, photon: int, rule: RoutingRule) -> StateVector:
         target = rule.target_for(label)
         if target is None:
             return ()
-        mode, prop, phase = target
+        mode, prop = target
         out = PhotonLabel(label.polarization, prop, mode)
         if produced.setdefault(out, label) != label:
             raise StateError(
                 f"{rule.name}: labels {produced[out].token!r} and {label.token!r} "
                 f"collapse onto {out.token!r}"
             )
-        return ((out, phase),)
+        return ((out, 1.0),)
 
     return apply_sited_map(state, PhotonSite(photon), fn)
 
@@ -213,15 +195,12 @@ def switch_route(
 class Pauli(Enum):
     """Single-photon polarization Paulis available to feed-forward."""
 
-    IDENTITY = "identity"
     SIGMA_Z = "sigma_z"
     MINUS_SIGMA_Z = "minus_sigma_z"
     SIGMA_X = "sigma_x"
 
 
 def _pauli_images(pauli: Pauli, label: PhotonLabel):
-    if pauli is Pauli.IDENTITY:
-        return ((label, 1.0),)
     if pauli is Pauli.SIGMA_Z:
         sign = 1.0 if label.polarization is Polarization.R else -1.0
         return ((label, sign),)

@@ -92,11 +92,6 @@ class SpinBasis(IntEnum):
         return "u" if self is SpinBasis.UP else "d"
 
 
-_POL_TOKENS = {p.token: p for p in Polarization}
-_PROP_TOKENS = {p.token: p for p in Propagation}
-_SPIN_TOKENS = {s.token: s for s in SpinBasis}
-
-
 class _PhotonFields(NamedTuple):
     polarization: Polarization
     propagation: Propagation
@@ -226,10 +221,6 @@ class StateVector:
         state._amps, state._photon_count, state._has_spin = amps, photon_count, has_spin
         return state
 
-    @classmethod
-    def from_ket(cls, ket: BasisKet, amplitude: complex = 1.0) -> "StateVector":
-        return cls({ket: amplitude})
-
     @property
     def photon_count(self) -> int:
         return self._photon_count
@@ -290,18 +281,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         if other:
             total += amp.conjugate() * other
     return total
-
-
-def fidelity(realistic: StateVector, ideal: StateVector, normalize: bool = False) -> float:
-    """Squared overlap of a (possibly lossy) state with a unit reference state.
-
-    With ``normalize`` set the first argument is renormalized before the
-    overlap, which scores only the shape of the surviving amplitude.
-    """
-    if normalize:
-        realistic = realistic.normalized()
-    overlap = inner_product(realistic, ideal)
-    return abs(overlap) ** 2
 
 
 @dataclass(frozen=True)
@@ -446,29 +425,3 @@ def serialize(state: StateVector) -> str:
     return "\n".join([
         "%s : %.17g,%.17g" % (_ket_token(ket), amp.real, amp.imag) for ket, amp in state.items()
     ])
-
-
-def deserialize(text: str) -> StateVector:
-    """Parse the :func:`serialize` format back into a state."""
-    amps: dict[BasisKet, complex] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        ket_part, amp_part = line.rsplit(":", 1)
-        photon_part, spin_part = ket_part.split("|")
-        photons = []
-        photon_part = photon_part.strip()
-        if photon_part:
-            for tok in photon_part.split(","):
-                pol_tok, prop_tok, mode_tok = tok.strip().split("/")
-                photons.append(
-                    PhotonLabel(
-                        _POL_TOKENS[pol_tok], _PROP_TOKENS[prop_tok], int(mode_tok)
-                    )
-                )
-        spin_tok = spin_part.strip()
-        spin = None if spin_tok == "-" else _SPIN_TOKENS[spin_tok]
-        re_tok, im_tok = amp_part.strip().split(",")
-        amps[BasisKet(tuple(photons), spin)] = complex(float(re_tok), float(im_tok))
-    return StateVector(amps)

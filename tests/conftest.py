@@ -1,5 +1,6 @@
-"""Shared helpers: seeded random states, state comparisons, golden-file parsing, exact
-closed forms and dict-engine reference figures."""
+"""Shared helpers: seeded random states, state comparisons and fidelity, the
+serialization parser, golden-file parsing, exact closed forms and dict-engine
+reference figures."""
 
 from __future__ import annotations
 
@@ -18,12 +19,57 @@ from spincavity.hilbert import (
     Propagation,
     SpinBasis,
     StateVector,
-    deserialize,
-    fidelity,
     inner_product,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_POL_TOKENS = {p.token: p for p in Polarization}
+_PROP_TOKENS = {p.token: p for p in Propagation}
+_SPIN_TOKENS = {s.token: s for s in SpinBasis}
+
+
+def from_ket(ket: BasisKet, amplitude: complex = 1.0) -> StateVector:
+    """The state of one basis ket."""
+    return StateVector({ket: amplitude})
+
+
+def fidelity(realistic: StateVector, ideal: StateVector, normalize: bool = False) -> float:
+    """Squared overlap of a (possibly lossy) state with a unit reference state.
+
+    With ``normalize`` set the first argument is renormalized before the
+    overlap, which scores only the shape of the surviving amplitude.
+    """
+    if normalize:
+        realistic = realistic.normalized()
+    overlap = inner_product(realistic, ideal)
+    return abs(overlap) ** 2
+
+
+def deserialize(text: str) -> StateVector:
+    """Parse the ``serialize`` format back into a state."""
+    amps: dict[BasisKet, complex] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        ket_part, amp_part = line.rsplit(":", 1)
+        photon_part, spin_part = ket_part.split("|")
+        photons = []
+        photon_part = photon_part.strip()
+        if photon_part:
+            for tok in photon_part.split(","):
+                pol_tok, prop_tok, mode_tok = tok.strip().split("/")
+                photons.append(
+                    PhotonLabel(
+                        _POL_TOKENS[pol_tok], _PROP_TOKENS[prop_tok], int(mode_tok)
+                    )
+                )
+        spin_tok = spin_part.strip()
+        spin = None if spin_tok == "-" else _SPIN_TOKENS[spin_tok]
+        re_tok, im_tok = amp_part.strip().split(",")
+        amps[BasisKet(tuple(photons), spin)] = complex(float(re_tok), float(im_tok))
+    return StateVector(amps)
 
 
 def random_qubit(rng: random.Random) -> QubitState:

@@ -64,13 +64,13 @@ from spincavity.hilbert import (
     SpinBasis,
     StateVector,
     apply_sited_map,
-    fidelity,
 )
 from spincavity.metrics import closed_form_figures, trion_density_matrix
 from conftest import (
     allclose,
     equal_up_to_global_phase,
     exact_figures,
+    fidelity,
     lincomb,
     parse_golden,
     random_qubit,

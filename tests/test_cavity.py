@@ -28,10 +28,9 @@ from spincavity.hilbert import (
     Polarization,
     Propagation,
     SpinBasis,
-    StateVector,
     apply_sited_map,
 )
-from conftest import allclose, random_state, scatter_as_sited_map, scatter_terms
+from conftest import allclose, from_ket, random_state, scatter_as_sited_map, scatter_terms
 
 R, L = Polarization.R, Polarization.L
 UP_Z, DN_Z = Propagation.ALONG_Z, Propagation.AGAINST_Z
@@ -231,7 +230,7 @@ class TestRealisticScatter:
     def test_circuit_point_contraction(self):
         co = coefficients(CavityParams(g=2.4, kappa_s=0.5, gamma=0.1))
         fn = scatter_as_sited_map(realistic_scatter(co))
-        state = StateVector.from_ket(
+        state = from_ket(
             BasisKet((PhotonLabel(R, DN_Z, 0),), SpinBasis.UP)
         )
         out = apply_sited_map(state, PhotonSpinSite(0), fn)

@@ -34,9 +34,9 @@ from spincavity.circuits import (
     simulated_fidelity,
     toffoli,
 )
-from spincavity.hilbert import SpinBasis, fidelity
+from spincavity.hilbert import SpinBasis
 from spincavity.metrics import closed_form_figures
-from conftest import lincomb, random_qubit
+from conftest import fidelity, lincomb, random_qubit
 
 BASIS = (QUBIT_R, QUBIT_L)
 OPERATING_POINT = CavityParams(g=2.4, kappa_s=0.5, gamma=0.1)

@@ -1,7 +1,7 @@
 """Compiled gate evaluation against the dict engine it is compiled from.
 
-``gate_figures`` and ``gate_figures_many`` evaluate each gate as
-polynomials in the coefficient magnitudes, recorded once per input; the
+``gate_figures`` and ``stacked_figures`` evaluate each gate as
+polynomials in the coefficient magnitudes, compiled once per input; the
 references in ``conftest`` run the dict engine gate by gate. The two must
 agree to 1e-12 on any input, any resonant cavity and any contractive set of
 coefficient magnitudes, in batches as point by point, and must fail the
@@ -11,7 +11,11 @@ with evaluating them one after another.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
+import random
 import re
 from unittest import mock
 
@@ -21,19 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincavity import circuits, cli
-from spincavity.cavity import CavityParams, InvalidCoefficientError, ScatterCoeffs, coefficients
+from spincavity.cavity import CavityParams, InvalidCoefficientError, ScatterCoeffs, coefficients, realistic_scatter
 from spincavity.circuits import (
+    QUBIT_L,
     QUBIT_PLUS,
     QUBIT_R,
     Gate,
     GateMode,
     QubitState,
     _GENERIC_POINTS,
+    _GENERIC_QUBITS,
     _compile,
     _run,
     _stack,
     gate_figures,
-    gate_figures_many,
     stacked_figures,
 )
 from spincavity.hilbert import DegenerateStateError, StateError, StructureError
@@ -176,9 +181,9 @@ def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_se
         want = [dict_figures(gate, inputs, GateMode(c), ideal) for c in coeffs_seq]
     except DegenerateStateError:
         with pytest.raises(DegenerateStateError):
-            gate_figures_many(gate, inputs, coeffs_seq)
+            stacked_figures(((gate, inputs),), [c.magnitudes for c in coeffs_seq])
         return
-    got = gate_figures_many(gate, inputs, coeffs_seq)
+    (got,) = stacked_figures(((gate, inputs),), [c.magnitudes for c in coeffs_seq])
     assert len(got) == len(want)
     for figures, (per_branch, pre, survival) in zip(got, want):
         # Compared before renormalization, as in assert_agrees.
@@ -187,28 +192,45 @@ def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_se
         assert abs(figures.pre_measurement * figures.survival - pre * survival) <= TOL
 
 
-def assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs):
-    """:func:`assert_agrees`, with the gate compiled at the generic ``points``."""
+@contextlib.contextmanager
+def compiled_at(monkeypatch, points):
+    """Gates compiled meanwhile at the generic ``points``."""
     monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
     # No compile made at other generic points may serve it, nor outlive it.
     _compile.cache_clear()
     _stack.cache_clear()
     try:
-        assert_agrees(gate, inputs, coeffs)
+        yield
     finally:
         _compile.cache_clear()
         _stack.cache_clear()
+
+
+def assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs):
+    """:func:`assert_agrees`, with the gate compiled at the generic ``points``."""
+    with compiled_at(monkeypatch, points):
+        assert_agrees(gate, inputs, coeffs)
+
+
+#: How a compile refuses generic runs that keep different kets.
+DIFFERENT_PATHS = r"^the generic runs of the (CNOT|Toffoli) record different paths$"
 
 
 @pytest.mark.parametrize("gate", list(Gate))
 def test_compiles_at_generic_points_whose_magnitudes_coincide(monkeypatch, gate):
     # A logged edge names its part of a cavity pass by the table slot of its
     # amplitude, not by the amplitude's value, so the magnitudes of a point may
-    # coincide. (At |t| = |r| and |t0| = |r0| some Toffoli kets cancel, so the
-    # second point may not: it keeps them in the supports.)
+    # coincide, and the CNOT compiles there. At |t| = |r| and |t0| = |r0| some
+    # Toffoli kets cancel that the second point keeps: its two generic runs
+    # record different paths, and the compile refuses.
     points = (ScatterCoeffs(t=0.29, r=0.29, t0=0.41, r0=0.41), _GENERIC_POINTS[1])
     inputs = (QubitState(0.6, 0.8), QUBIT_R, QUBIT_PLUS)[:ARITY[gate]]
-    for coeffs in (coefficients(CavityParams(g=2.4, kappa_s=0.5)), ScatterCoeffs(t=0.1, r=0.7, t0=0.5, r0=0.2)):
+    resonant = coefficients(CavityParams(g=2.4, kappa_s=0.5))
+    if gate is Gate.TOFFOLI:
+        with compiled_at(monkeypatch, points), pytest.raises(StructureError, match=DIFFERENT_PATHS):
+            gate_figures(gate, inputs, resonant)
+        return
+    for coeffs in (resonant, ScatterCoeffs(t=0.1, r=0.7, t0=0.5, r0=0.2)):
         assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs)
 
 
@@ -219,13 +241,65 @@ RESONANT_POINTS = (ScatterCoeffs(t=0.3, r=0.7, t0=0.6, r0=0.4), ScatterCoeffs(t=
 @pytest.mark.parametrize("points", [(RESONANT_POINTS[0], _GENERIC_POINTS[0]), RESONANT_POINTS])
 @pytest.mark.parametrize("gate", list(Gate))
 def test_compiles_where_the_generic_runs_cancel_kets(monkeypatch, gate, points):
-    # At a resonant first point the kets that cancel there, and the edges out
-    # of them, come from the second run alone. At two resonant points the
-    # fixed elements log edges into kets that both runs cancel, which the
-    # compiler drops. Either way the gate agrees with the dict engine on
-    # resonance.
+    # At a resonant first point kets cancel that a generic second point keeps:
+    # the runs record different paths, and the compile refuses rather than
+    # drop those kets. Two resonant points cancel the same kets; the gate
+    # compiled there agrees with the dict engine on resonance.
     coeffs = coefficients(CavityParams(g=2.4, kappa_s=0.5))
-    assert_agrees_compiled_at(monkeypatch, points, gate, (QUBIT_PLUS,) * ARITY[gate], coeffs)
+    inputs = (QUBIT_PLUS,) * ARITY[gate]
+    if points == RESONANT_POINTS:
+        assert_agrees_compiled_at(monkeypatch, points, gate, inputs, coeffs)
+        return
+    with compiled_at(monkeypatch, points), pytest.raises(StructureError, match=DIFFERENT_PATHS):
+        gate_figures(gate, inputs, coeffs)
+
+
+def test_generic_points_that_cancel_different_kets_refuse_to_compile(monkeypatch):
+    # Each of these points cancels Toffoli kets that the other keeps. Compiled
+    # over the union of both supports, without those kets' edges, the gate on
+    # (0.6:0.8, R, +) at g 2.4, kappa_s 0.5 would survive with 0.40804, where
+    # the dict engine gives 0.41030; the self-check at the generic points alone
+    # cannot see that.
+    points = (ScatterCoeffs(t=0.29, r=0.29, t0=0.41, r0=0.41), ScatterCoeffs(t=0.41, r=0.29, t0=0.29, r0=0.41))
+    coeffs = coefficients(CavityParams(g=2.4, kappa_s=0.5))
+    inputs = (QubitState(0.6, 0.8), QUBIT_R, QUBIT_PLUS)
+    assert abs(dict_efficiency(Gate.TOFFOLI, inputs, GateMode(coeffs)) - 0.41030) < 5e-6
+    with compiled_at(monkeypatch, points), pytest.raises(StructureError, match=DIFFERENT_PATHS):
+        gate_figures(Gate.TOFFOLI, inputs, coeffs)
+
+
+#: Every configuration the compile records: a gate and, per qubit, right- or
+#: left-circular or superposed, which the compile runs as its generic stand-in.
+CONFIGURATIONS = [
+    (gate, tuple(generic if q is None else q for q, generic in zip(choice, _GENERIC_QUBITS)))
+    for gate in Gate
+    for choice in itertools.product((QUBIT_R, QUBIT_L, None), repeat=ARITY[gate])
+]
+
+
+def generic_path(gate, inputs, coeffs):
+    """The path the replay recorder builds of the gate's run at ``coeffs``."""
+    return circuits._interpret(circuits._PROGRAMS[gate], inputs, realistic_scatter(coeffs), [])[2]
+
+
+@functools.cache
+def shipped_paths():
+    return [[generic_path(gate, inputs, point) for point in _GENERIC_POINTS] for gate, inputs in CONFIGURATIONS]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32).map(random.Random))
+def test_shipped_generic_points_record_the_path_of_any_generic_point(rng):
+    # A generic point keeps every ket that any point reaches. Magnitudes in
+    # [0.05, 0.45] keep |t| + |r| and |t0| + |r0| below one, away from
+    # resonance; they are drawn uniformly from a seeded generator, because
+    # coincidences such as |t| = |r| or |t| + |r| = |t0| + |r0| cancel kets.
+    point = ScatterCoeffs(*(rng.uniform(0.05, 0.45) for _ in range(4)))
+    assert len(CONFIGURATIONS) == 36
+    for (gate, inputs), shipped in zip(CONFIGURATIONS, shipped_paths()):
+        path = generic_path(gate, inputs, point)
+        assert path is not None
+        assert shipped == [path] * len(_GENERIC_POINTS)
 
 
 def test_input_amplitude_near_the_pruning_threshold():
@@ -273,7 +347,7 @@ def test_batch_fails_with_its_first_bad_point():
             for point in points:
                 gate_figures(Gate.CNOT, inputs, point)
         with pytest.raises(type(one_by_one.value)) as batched:
-            gate_figures_many(Gate.CNOT, inputs, points)
+            stacked_figures(((Gate.CNOT, inputs),), [point.magnitudes for point in points])
         assert str(batched.value) == str(one_by_one.value)
         return batched.value
 
@@ -309,7 +383,7 @@ def chunks(draw) -> list[ScatterCoeffs]:
 def one_after_another(kinds, points):
     """Each kind's figures, or the error, from evaluating the kinds in turn."""
     try:
-        return [gate_figures_many(gate, inputs, points) for gate, inputs in kinds]
+        return [stacked_figures(((gate, inputs),), [p.magnitudes for p in points])[0] for gate, inputs in kinds]
     except StateError as exc:
         return exc
 

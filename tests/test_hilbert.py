@@ -23,13 +23,20 @@ from spincavity.hilbert import (
     StateVector,
     StructureError,
     apply_sited_map,
-    deserialize,
-    fidelity,
     inner_product,
     measure_spin,
     serialize,
 )
-from conftest import allclose, equal_up_to_global_phase, lincomb, random_state, scatter_as_sited_map
+from conftest import (
+    allclose,
+    deserialize,
+    equal_up_to_global_phase,
+    fidelity,
+    from_ket,
+    lincomb,
+    random_state,
+    scatter_as_sited_map,
+)
 
 R, L = Polarization.R, Polarization.L
 UP_Z, DN_Z = Propagation.ALONG_Z, Propagation.AGAINST_Z
@@ -47,17 +54,17 @@ def ket(*photons, spin=None):
 
 class TestInnerProduct:
     def test_normalized_basis_ket(self):
-        a = StateVector.from_ket(ket(photon(R), spin=DOWN))
+        a = from_ket(ket(photon(R), spin=DOWN))
         assert inner_product(a, a) == 1.0
 
     def test_orthogonality(self):
-        a = StateVector.from_ket(ket(photon(R), spin=DOWN))
-        b = StateVector.from_ket(ket(photon(L), spin=DOWN))
+        a = from_ket(ket(photon(R), spin=DOWN))
+        b = from_ket(ket(photon(L), spin=DOWN))
         assert inner_product(a, b) == 0.0
 
     def test_projection(self):
         plus = StateVector({ket(photon(R)): S2, ket(photon(L)): S2})
-        r = StateVector.from_ket(ket(photon(R)))
+        r = from_ket(ket(photon(R)))
         assert abs(inner_product(plus, r) - S2) < 1e-12
 
     def test_conjugate_symmetry(self, rng):
@@ -66,8 +73,8 @@ class TestInnerProduct:
         assert abs(inner_product(a, b) - inner_product(b, a).conjugate()) < 1e-12
 
     def test_structure_mismatch(self):
-        a = StateVector.from_ket(ket(photon(R)))
-        b = StateVector.from_ket(ket(photon(R), photon(L, mode=1)))
+        a = from_ket(ket(photon(R)))
+        b = from_ket(ket(photon(R), photon(L, mode=1)))
         with pytest.raises(StructureError):
             inner_product(a, b)
 
@@ -78,19 +85,19 @@ class TestFidelity:
         assert abs(fidelity(psi, psi) - 1.0) < 1e-9
 
     def test_orthogonal(self):
-        a = StateVector.from_ket(ket(photon(R)))
-        b = StateVector.from_ket(ket(photon(L)))
+        a = from_ket(ket(photon(R)))
+        b = from_ket(ket(photon(L)))
         assert fidelity(a, b) == 0.0
 
     def test_normalize_removes_global_scale(self):
-        r = StateVector.from_ket(ket(photon(R)))
+        r = from_ket(ket(photon(R)))
         scaled = r.scaled(0.9)
         assert abs(fidelity(scaled, r, normalize=True) - 1.0) < 1e-12
         assert abs(fidelity(scaled, r) - 0.81) < 1e-12
 
     def test_zero_state_with_normalize(self):
         zero = StateVector({}, photon_count=1, has_spin=False)
-        ref = StateVector.from_ket(ket(photon(R)))
+        ref = from_ket(ket(photon(R)))
         with pytest.raises(DegenerateStateError):
             fidelity(zero, ref, normalize=True)
 
@@ -102,7 +109,7 @@ class TestSitedMaps:
         assert allclose(out, state, 1e-15)
 
     def test_polarization_hadamard_on_first_photon(self):
-        state = StateVector.from_ket(
+        state = from_ket(
             ket(photon(R, mode=0), photon(R, mode=1), spin=DOWN)
         )
         out = hadamard_p(state, 0)
@@ -113,14 +120,14 @@ class TestSitedMaps:
         # Uncoupled photon under 80/20 cold-cavity splitting keeps most of
         # its amplitude on the transmitted label and loses 32% of the norm.
         coeffs = ScatterCoeffs(t=0.0, r=1.0, t0=-0.8, r0=0.2)
-        state = StateVector.from_ket(ket(photon(R, DN_Z), spin=UP))
+        state = from_ket(ket(photon(R, DN_Z), spin=UP))
         out = apply_sited_map(state, PhotonSpinSite(0), scatter_as_sited_map(realistic_scatter(coeffs)))
         assert abs(out.amplitude(ket(photon(R, DN_Z), spin=UP)) - (-0.8)) < 1e-12
         assert abs(out.amplitude(ket(photon(L, UP_Z), spin=UP)) - (-0.2)) < 1e-12
         assert abs(out.norm_squared() - 0.68) < 1e-12
 
     def test_incomplete_map(self):
-        state = StateVector.from_ket(ket(photon(R)))
+        state = from_ket(ket(photon(R)))
         with pytest.raises(IncompleteMapError):
             apply_sited_map(state, PhotonSite(0), lambda lab: None)
 
@@ -139,7 +146,7 @@ class TestSitedMaps:
         assert allclose(left, right, 1e-12)
 
     def test_site_out_of_range(self):
-        state = StateVector.from_ket(ket(photon(R)))
+        state = from_ket(ket(photon(R)))
         with pytest.raises(StructureError):
             apply_sited_map(state, PhotonSite(1), lambda lab: ((lab, 1.0),))
 
@@ -159,7 +166,7 @@ class TestMeasureSpin:
         assert branches[1][2].amplitude(ket(photon(L))) == 1.0
 
     def test_deterministic_branch(self):
-        state = StateVector.from_ket(ket(photon(R), spin=DOWN))
+        state = from_ket(ket(photon(R), spin=DOWN))
         branches = measure_spin(state)
         assert len(branches) == 1
         outcome, probability, post = branches[0]
@@ -347,6 +354,6 @@ class TestGlobalPhase:
         assert not allclose(state, rotated)
 
     def test_distinct_states_differ(self):
-        a = StateVector.from_ket(ket(photon(R)))
-        b = StateVector.from_ket(ket(photon(L)))
+        a = from_ket(ket(photon(R)))
+        b = from_ket(ket(photon(L)))
         assert not equal_up_to_global_phase(a, b)

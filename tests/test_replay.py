@@ -30,12 +30,14 @@ from spincavity.circuits import (
     QUBIT_MINUS,
     QUBIT_PLUS,
     QUBIT_R,
+    Branch,
     Gate,
     GateMode,
+    GateResult,
     QubitState,
     _PROGRAMS,
-    _finish,
     _product_amplitudes,
+    _readout,
     _run,
     _states,
     _survivors,
@@ -79,7 +81,8 @@ def interpret(gate, inputs, mode):
     for step, state in _states(program, inputs, mode.scatter_table()):
         if isinstance(step, str):
             trace.append((step, state))
-    return _finish(state, program.feed_forward, trace), state
+    branches = tuple(Branch(o, p, out) for o, p, _, out in _readout(state, program.feed_forward))
+    return GateResult(branches, state.norm_squared(), tuple(trace)), state
 
 
 def qubit(theta, phi):

@@ -184,15 +184,17 @@ def test_small_json_sweep_matches_golden():
     assert out == (GOLDEN_DIR / "sweep_small.json").read_text(encoding="utf-8")
 
 
-def test_simulated_sweep_matches_golden():
+#: A 3x3 sweep of every closed-form and simulated column, whose CSV is ``sweep_sim.csv``.
+SIMULATED = [
+    "sweep", "--g-min", "0.2", "--g-max", "3.7", "--g-steps", "3", "--ks-steps", "3",
+    "--outputs",
+    "sim_eta_toffoli,f_toffoli,sim_f_cnot,eta_cnot,sim_f_toffoli,f_cnot,sim_eta_cnot,eta_toffoli",
+    "--decohere", "spin",
+]
+
+
+def assert_matches_simulated_golden(out: str) -> None:
     """Grid and closed-form cells byte for byte, ``sim_*`` cells to 1e-12."""
-    code, out, err = run_main([
-        "sweep", "--g-min", "0.2", "--g-max", "3.7", "--g-steps", "3", "--ks-steps", "3",
-        "--outputs",
-        "sim_eta_toffoli,f_toffoli,sim_f_cnot,eta_cnot,sim_f_toffoli,f_cnot,sim_eta_cnot,eta_toffoli",
-        "--decohere", "spin",
-    ])
-    assert (code, err) == (0, "")
     expected = (GOLDEN_DIR / "sweep_sim.csv").read_text(encoding="utf-8").splitlines()
     lines = out.splitlines()
     assert lines[0] == expected[0]
@@ -204,6 +206,12 @@ def test_simulated_sweep_matches_golden():
                 assert float(cell) == pytest.approx(float(golden_cell), abs=1e-12)
             else:
                 assert cell == golden_cell
+
+
+def test_simulated_sweep_matches_golden():
+    code, out, err = run_main(SIMULATED)
+    assert (code, err) == (0, "")
+    assert_matches_simulated_golden(out)
 
 
 def test_signed_zero_coordinates_format_apart():
