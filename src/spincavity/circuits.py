@@ -627,8 +627,8 @@ class _Path(NamedTuple):
 #: Runs recorded under one root at most; later misses are only interpreted.
 _PATHS_PER_ROOT = 16
 #: Source characters compiled at once, about. The compiler holds some 120 bytes
-#: per character of what it compiles, so a Toffoli path (65 KB of source) in one
-#: piece would lift peak memory by about 8 MB; a path is compiled in parts.
+#: per character of what it compiles, so a Toffoli path (51 KB of source) in one
+#: piece would lift peak memory by about 6 MB; a path is compiled in parts.
 _PART_CHARS = 4000
 #: Guards each root's count and paths.
 _PLANS_LOCK = threading.Lock()
@@ -667,27 +667,42 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     it and raises as always. Structural checks depend only on the kets, the recorded
     ones, and ran at recording. The sources hold only integer indices and fixed names."""
     held, blocks = [], []
+    # A +1 or -1 constant writes no product, and an output whose one edge is a +1 from a computed
+    # amplitude is that amplitude, unchecked (its source's check covers it). Same bits: in CPython
+    # 3.10 and 3.11 ``a * 1.0`` is the complex product, equal to ``a`` up to signs of zero; every
+    # running sum starts at 0j and, rounding to nearest, never holds -0.0, nor does a computed
+    # amplitude (``0j + ...``, ``x * f`` after readout); :func:`_survivors` keeps non-finite
+    # inputs off the replay. An input may hold -0.0, so no output is an input.
+    signs = {path.slots + k: " + " if c > 0 else " - " for k, c in enumerate(path.constants) if abs(c) == 1}
 
     def hold(value) -> str:
         held.append(value)
         return f"held[{len(held) - 1}]"
 
-    def apply(step: _Step, sources: list, name: str) -> list:
-        terms = [[] for _ in range(step.outputs)]
-        for source, out, coeff in step.edges:
-            terms[out].append(f" + {sources[source]} * c{coeff}")
-        values = [f"{name}{j}" for j in range(step.outputs)]
-        lines.extend(f"{value} = 0j{''.join(sums)}" for value, sums in zip(values, terms))
+    def apply(step: _Step, sources: list, name: str, norm: str, computed: bool = True) -> list:
+        edges = [[] for _ in range(step.outputs)]
+        for source, out, index in step.edges:
+            edges[out].append((sources[source], index))
+        kept = range(step.outputs) if step.kept is None else step.kept
+        values, fresh = [], []
+        for j, ins in enumerate(edges):
+            relabel = computed and len(ins) == 1 and signs.get(ins[0][1]) == " + " and j in kept
+            values.append(ins[0][0] if relabel else f"{name}{j}")
+            if not relabel:
+                fresh.append(j)
+                terms = (signs[i] + a if i in signs else f" + {a} * c{i}" for a, i in ins)
+                lines.append(f"{name}{j} = 0j{''.join(terms)}")
+        check(values, fresh, kept, norm)
         return values
 
     def squared_norm(name: str, values: list) -> None:
         lines.append(f"{name} = sum([{', '.join(f'm{value} ** 2' for value in values)}])")
 
-    def check(values: list, kept, norm: str) -> None:
-        kept = range(len(values)) if kept is None else kept
-        lines.extend(f"m{value} = abs({value})" for value in values)
-        tests = (f"m{value} {'>=' if j in kept else '<'} eps" for j, value in enumerate(values))
-        lines.append(f"if not ({' and '.join(tests)}): return None")
+    def check(values: list, fresh: list, kept, norm: str) -> None:
+        lines.extend(f"m{values[j]} = abs({values[j]})" for j in fresh)
+        if fresh:
+            tests = (f"m{values[j]} {'>=' if j in kept else '<'} eps" for j in fresh)
+            lines.append(f"if not ({' and '.join(tests)}): return None")
         squared_norm(norm, [values[j] for j in kept])
         lines.append(f"if {norm} > cap: return None")
 
@@ -700,8 +715,7 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     values = [f"v{j}" for j in range(2 ** photon_count)]
     for s, step in enumerate(path.steps):
         blocks.append((values, lines := []))  # the values a step reads, and its lines
-        values = apply(step, values, f"a{s % 2}_")  # two sets of names: a step reads only the one before
-        check(values, step.kept, "n")
+        values = apply(step, values, f"a{s}_", "n", s > 0)  # names unique per step, for relabels
         if step.kets is not None:
             kept = values if step.kept is None else [values[j] for j in step.kept]
             lines.append(f"pre = {state(step.kets, kept, True)}")
@@ -716,11 +730,10 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         lines += [f"if not w{b} > weight: return None", f"f = 1.0 / sqrt(w{b})"]
         post = [f"p{b}_{j}" for j in range(len(picks))]
         lines.extend(f"{p} = {values[j]} * f" for p, j in zip(post, picks))
-        check(post, None, "r")
+        check(post, range(len(post)), range(len(post)), "r")
         steps, order, kets = branch
         for f, step in enumerate(steps):  # feed_forward
-            post = apply(step, post, f"q{b}_{f}_")
-            check(post, None, "r")
+            post = apply(step, post, f"q{b}_{f}_", "r")
         squared_norm("r", post := [post[j] for j in order])  # _canonical_photonic
         lines.append("if r > cap: return None")
         branches.append(f"Branch({hold(outcome)}, w{b} / n, {state(kets, post, False)})")
@@ -729,6 +742,7 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     parts, part = [], []  # each part binds the coefficients to locals, then what it reads
     for reads, lines in blocks:
         if part and sum(map(len, part + lines)) > _PART_CHARS:
+            reads = list(dict.fromkeys(reads + [f"m{value}" for value in reads]))  # relabels reuse these
             parts.append(part + [f"return {listed(reads)}"])
             part = []
         part = (part or [

@@ -120,7 +120,6 @@ class PhotonLabel(_PhotonFields):
         return _label_token(self)
 
 
-@functools.lru_cache(maxsize=256)
 def _label_token(label: PhotonLabel) -> str:
     return f"{label.polarization.token}/{label.propagation.token}/{label.mode}"
 
@@ -153,7 +152,6 @@ class BasisKet(NamedTuple):
         return _ket_token(self)
 
 
-@functools.lru_cache(maxsize=1024)
 def _ket_token(ket: BasisKet) -> str:
     photons, spin = ket
     return f"{','.join(map(_label_token, photons))} | {'-' if spin is None else spin.token}"
@@ -422,6 +420,14 @@ def serialize(state: StateVector) -> str:
     Lines are ordered by the kets' natural order so output is reproducible
     byte for byte; amplitudes carry 17 significant digits.
     """
-    return "\n".join([
-        "%s : %.17g,%.17g" % (_ket_token(ket), amp.real, amp.imag) for ket, amp in state.items()
-    ])
+    text, order = _layout(tuple(amps := state._amps))
+    values = [*amps.values()]
+    return text % tuple([part for j in order for part in (values[j].real, values[j].imag)])
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(kets: tuple) -> tuple[str, tuple]:
+    """The text of a state over ``kets`` (in dict order) with ``%.17g`` holes for its
+    amplitudes, lines in sorted ket order, and the dict positions in that order."""
+    order = tuple(sorted(range(len(kets)), key=kets.__getitem__))
+    return "\n".join(["%s : %%.17g,%%.17g" % _ket_token(kets[j]) for j in order]), order

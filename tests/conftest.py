@@ -72,6 +72,13 @@ def deserialize(text: str) -> StateVector:
     return StateVector(amps)
 
 
+def serialize_lines(state: StateVector) -> str:
+    """The spec of ``hilbert.serialize``: one formatted line per ket, in sorted ket order."""
+    return "\n".join([
+        "%s : %.17g,%.17g" % (ket.token, amp.real, amp.imag) for ket, amp in state.items()
+    ])
+
+
 def random_qubit(rng: random.Random) -> QubitState:
     theta = rng.uniform(0.0, math.pi)
     phi = rng.uniform(0.0, 2.0 * math.pi)

@@ -22,6 +22,7 @@ from spincavity.hilbert import (
     SpinBasis,
     StateVector,
     StructureError,
+    _layout,
     apply_sited_map,
     inner_product,
     measure_spin,
@@ -36,6 +37,7 @@ from conftest import (
     lincomb,
     random_state,
     scatter_as_sited_map,
+    serialize_lines,
 )
 
 R, L = Polarization.R, Polarization.L
@@ -294,6 +296,10 @@ EDGE_PARTS = (
 )
 
 
+_edge_parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1.0, 1.0), st.floats(-1e-307, 1e-307))
+edge_amplitudes = st.builds(complex, _edge_parts, _edge_parts)
+
+
 @st.composite
 def edge_states(draw):
     """States of random structure whose amplitude parts favour :data:`EDGE_PARTS`.
@@ -310,10 +316,9 @@ def edge_states(draw):
         BasisKet, st.tuples(*[labels] * photon_count),
         st.sampled_from(SpinBasis) if has_spin else st.none(),
     )
-    parts = st.one_of(
-        st.sampled_from(EDGE_PARTS), st.floats(-1.0, 1.0), st.floats(-1e-307, 1e-307),
-    )
-    amps = draw(st.dictionaries(kets, st.builds(complex, parts, parts), max_size=8))
+    amps = draw(st.dictionaries(kets, edge_amplitudes, max_size=8))
+    if draw(st.booleans()):  # one amplitude on every ket
+        amps = dict.fromkeys(amps, draw(edge_amplitudes))
     return StateVector._checked(amps, photon_count, has_spin)
 
 
@@ -322,6 +327,18 @@ class TestSerializeFormat:
     @given(edge_states())
     def test_matches_the_reference_format(self, state):
         assert serialize(state) == reference_serialize(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_states(), st.data())
+    def test_cached_layouts_match_the_line_by_line_spec(self, state, data):
+        # The first call builds the layout of the state's kets; the second reuses
+        # it for other amplitudes over the same kets in the same order.
+        _layout.cache_clear()
+        assert serialize(state) == serialize_lines(state)
+        values = data.draw(st.lists(edge_amplitudes, min_size=len(state), max_size=len(state)))
+        other = StateVector._checked(dict(zip(state._amps, values)), state.photon_count, state.has_spin)
+        assert serialize(other) == serialize_lines(other)
+        assert _layout.cache_info()[:2] == (1, 1)  # one hit, one miss
 
     def test_edge_parts_keep_their_signs_and_digits(self):
         state = StateVector._checked(

@@ -91,6 +91,14 @@ def qubit(theta, phi):
 
 qubits = st.one_of(
     st.sampled_from([QUBIT_R, QUBIT_L, QUBIT_PLUS, QUBIT_MINUS]),
+    # Signed and exact zeros: an input amplitude may hold -0.0, which a relabel
+    # of it must not carry on.
+    st.sampled_from([
+        QubitState(complex(-0.0, 0.6), 0.8),
+        QubitState(0.6, complex(0.8, -0.0)),
+        QubitState(-0.0, 1.0),
+        QubitState(complex(0.0, -1.0), 0.0),
+    ]),
     st.builds(qubit, st.floats(0.0, math.pi / 2.0), st.floats(0.0, 2.0 * math.pi)),
     # One component near PRUNE_EPS, so products of it land on either side.
     st.builds(
@@ -275,7 +283,45 @@ def test_equal_paths_compile_to_equal_sources(fresh_plans, monkeypatch):
     assert all(number.isdigit() for number in numbers - {"0j", "1.0"})
 
 
-@pytest.mark.parametrize("mode", [GateMode.ideal(), GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5))])
+REALISTIC = GateMode.realistic(CavityParams(g=2.4, kappa_s=0.5))
+
+
+def recorded_path(gate, mode):
+    """The path of a run on (0.6:0.8) qubits, and its edges with feed-forward ones."""
+    inputs = (QubitState(0.6, 0.8),) * ARITY[gate]
+    _, _, path = circuits._interpret(_PROGRAMS[gate], inputs, mode.scatter_table(), [])
+    steps = path.steps + tuple(step for _, _, branch in path.readout if branch for step in branch[0])
+    return path, [index for step in steps for _, _, index in step.edges]
+
+
+def written(path, gate):
+    """The products with a coefficient and the ``abs`` calls in the source of ``path``."""
+    source = "".join(circuits._path_source(path, ARITY[gate])[0])
+    return source.count(" * c"), source.count("abs(")
+
+
+@pytest.mark.parametrize("mode", [GateMode.ideal(), REALISTIC])
+@pytest.mark.parametrize("gate", list(Gate))
+def test_unit_constants_write_no_products(gate, mode):
+    # An edge with a table slot or a constant other than +1 or -1 is one product;
+    # a +1 or -1 edge adds or subtracts its source as it is.
+    path, indices = recorded_path(gate, mode)
+    weighted = [j for j in indices if j < path.slots or abs(path.constants[j - path.slots]) != 1.0]
+    assert written(path, gate)[0] == len(weighted) < len(indices)
+
+
+@pytest.mark.parametrize("gate, edges, products, magnitudes", [
+    (Gate.CNOT, 130, 80, 66),
+    (Gate.TOFFOLI, 896, 496, 340),
+])
+def test_realistic_path_counts(gate, edges, products, magnitudes):
+    # Relabels (an output whose one edge is a +1 from a computed amplitude)
+    # write no line and no abs: their source's prune test covers them.
+    path, indices = recorded_path(gate, REALISTIC)
+    assert (len(indices), *written(path, gate)) == (edges, products, magnitudes)
+
+
+@pytest.mark.parametrize("mode", [GateMode.ideal(), REALISTIC])
 @pytest.mark.parametrize("gate", list(Gate))
 def test_every_run_builds_one_scatter_table(fresh_plans, monkeypatch, gate, mode):
     # The benchmark counts gate runs by their GateMode.scatter_table calls:

@@ -21,7 +21,7 @@ import pytest
 
 from conftest import GOLDEN_DIR
 from spincavity import cli
-from spincavity.hilbert import _ket_token
+from spincavity.hilbert import _layout
 
 REALISTIC = ("--mode", "realistic")
 
@@ -97,11 +97,11 @@ def test_simulate_bytes_match_golden(name):
     assert out == expected
 
 
-def test_ket_token_cache_stays_bounded():
+def test_layout_cache_stays_bounded():
     for argv in COMMANDS.values():
         run_main(argv)
-    info = _ket_token.cache_info()
-    assert info.maxsize == 1024
+    info = _layout.cache_info()
+    assert info.maxsize == 256
     assert 0 < info.currsize <= info.maxsize
 
 
