@@ -25,7 +25,6 @@ from .circuits import (
     SimulatedFigures,
     cnot,
     gate_figures,
-    ideal_oracle,
     simulated_efficiency,
     simulated_fidelity,
     toffoli,

@@ -1,4 +1,4 @@
-"""Full CNOT and Toffoli pipelines with staged traces and gate oracles.
+"""Full CNOT and Toffoli pipelines with staged traces.
 
 Both gates work the same way: photonic qubits are polarization encoded, and
 a single electron spin inside the cavity mediates the interaction. A
@@ -560,16 +560,14 @@ def _run(
         )
     table = mode.scatter_table()
     values = _product_amplitudes(inputs)
-    support, log = _survivors(values), None
-    if support is not None:
-        root = _plan_root(gate, len(table.amplitudes), support[0])
-        for replay in root.paths:  # the first that stays on its path wins
-            if (replayed := replay(values, table.amplitudes)) is not None:
-                return replayed
-        with _PLANS_LOCK:
-            root.misses += 1
-            if 1 < root.misses <= _PATHS_PER_ROOT + 1:
-                log = []
+    kept = tuple([j for j, v in enumerate(values) if abs(v) >= PRUNE_EPS])
+    root = _plan_root(gate, len(table.amplitudes), kept)
+    for replay in root.paths:  # the first that stays on its path wins
+        if (replayed := replay(values, table.amplitudes)) is not None:
+            return replayed
+    with _PLANS_LOCK:
+        root.misses += 1
+        log = [] if 1 < root.misses <= _PATHS_PER_ROOT + 1 else None
     result, pre, path = _interpret(program, inputs, table, log)
     if path is not None:
         replay = _compiled(path, arity)  # here, so no replayed run pays for a compile
@@ -614,10 +612,12 @@ class _Step(NamedTuple):
 
 
 class _Path(NamedTuple):
-    """A logged run: its ``steps``, then per outcome ``(outcome, positions of its kets in
-    ket order, branch)``; ``branch`` is None if the outcome has none, else the
-    feed-forward steps, the positions of their output in ket order and the output kets."""
+    """A logged run: the positions its input keeps, its ``steps``, then per outcome
+    ``(outcome, positions of its kets in ket order, branch)``; ``branch`` is None if the
+    outcome has none, else the feed-forward steps, the positions of their output in ket
+    order and the output kets."""
 
+    kept: tuple
     steps: tuple
     readout: tuple
     constants: tuple
@@ -635,26 +635,11 @@ _PLANS_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=64)
-def _plan_root(gate: Gate, slots: int, support: tuple | None) -> SimpleNamespace:
+def _plan_root(gate: Gate, slots: int, kept: tuple) -> SimpleNamespace:
     """The compiled paths, tried in order, of one gate, scatter-table routes (told apart
-    by their slot count) and input support (kept positions, None for all), and the count
-    of runs that missed them."""
+    by their slot count) and the positions the input keeps, and the count of runs that
+    missed them."""
     return SimpleNamespace(misses=0, paths=())
-
-
-def _survivors(values: list) -> tuple | None:
-    """The positions a :class:`StateVector` of ``values`` keeps (None for all) and
-    its squared norm, summed as it sums it; None where it would raise."""
-    magnitudes = list(map(abs, values))
-    if min(magnitudes, default=PRUNE_EPS) >= PRUNE_EPS:
-        key, kept = None, magnitudes
-    elif any(m != m for m in magnitudes):  # a NaN amplitude
-        return None
-    else:
-        key = tuple([j for j, m in enumerate(magnitudes) if m >= PRUNE_EPS])
-        kept = [magnitudes[j] for j in key]
-    norm_sq = sum(map(pow, kept, itertools.repeat(2)))
-    return (key, norm_sq) if norm_sq <= 1.0 + NORM_EPS else None
 
 
 def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
@@ -662,17 +647,18 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     ``part(values, table amplitudes, trace)`` takes what the part before returned (the
     first, the input amplitudes) and appends its trace states; the last returns the
     result and the pre-readout state. A part returns None where the run leaves the path
-    or fails a value check: those of :func:`_survivors` (a prune test, which a NaN fails,
-    or the squared-norm cap), a zero state, a branch weight. The interpreter then reruns
-    it and raises as always. Structural checks depend only on the kets, the recorded
-    ones, and ran at recording. The sources hold only integer indices and fixed names."""
-    held, blocks = [], []
+    or fails a value check: those of the state constructor (a prune test, which a NaN
+    fails, and the squared-norm cap), the input's first, then a zero state and a branch
+    weight. The interpreter then reruns it and raises as always. Structural checks depend
+    only on the kets, the recorded ones, and ran at recording. The sources hold only
+    integer indices and fixed names."""
+    held, blocks, sums = [], [], {}
     # A +1 or -1 constant writes no product, and an output whose one edge is a +1 from a computed
     # amplitude is that amplitude, unchecked (its source's check covers it). Same bits: in CPython
-    # 3.10 and 3.11 ``a * 1.0`` is the complex product, equal to ``a`` up to signs of zero; every
+    # 3.10 to 3.13 ``a * 1.0`` is the complex product, equal to ``a`` up to signs of zero; every
     # running sum starts at 0j and, rounding to nearest, never holds -0.0, nor does a computed
-    # amplitude (``0j + ...``, ``x * f`` after readout); :func:`_survivors` keeps non-finite
-    # inputs off the replay. An input may hold -0.0, so no output is an input.
+    # amplitude (``0j + ...``, ``x * f`` after readout); the input check, which runs first,
+    # keeps non-finite inputs off the replay. An input may hold -0.0, so no output is an input.
     signs = {path.slots + k: " + " if c > 0 else " - " for k, c in enumerate(path.constants) if abs(c) == 1}
 
     def hold(value) -> str:
@@ -695,16 +681,21 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         check(values, fresh, kept, norm)
         return values
 
-    def squared_norm(name: str, values: list) -> None:
-        lines.append(f"{name} = sum([{', '.join(f'm{value} ** 2' for value in values)}])")
+    def squared_norm(name: str, values: list) -> None:  # left to right, as hilbert sums
+        lines.append(f"{name} = 0{''.join(f' + m{value} ** 2' for value in values)}")
+
+    def capped(name: str, values: list) -> None:
+        if sums.get(name) != values:  # else ``name`` holds this sum: the outputs relabel the last
+            sums[name] = values
+            squared_norm(name, values)
+            lines.append(f"if {name} > cap: return None")
 
     def check(values: list, fresh: list, kept, norm: str) -> None:
         lines.extend(f"m{values[j]} = abs({values[j]})" for j in fresh)
         if fresh:
             tests = (f"m{values[j]} {'>=' if j in kept else '<'} eps" for j in fresh)
             lines.append(f"if not ({' and '.join(tests)}): return None")
-        squared_norm(norm, [values[j] for j in kept])
-        lines.append(f"if {norm} > cap: return None")
+        capped(norm, [values[j] for j in kept])
 
     def state(kets: tuple, values: list, spin: bool) -> str:
         return f"state(dict(zip({hold(kets)}, {listed(values)})), {photon_count}, {spin})"
@@ -713,6 +704,8 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         return f"({', '.join(items)}{',' if items else ''})"
 
     values = [f"v{j}" for j in range(2 ** photon_count)]
+    blocks.append((values, lines := []))  # the input, checked as the state constructor checks it
+    check(values, range(len(values)), path.kept, "n")
     for s, step in enumerate(path.steps):
         blocks.append((values, lines := []))  # the values a step reads, and its lines
         values = apply(step, values, f"a{s}_", "n", s > 0)  # names unique per step, for relabels
@@ -720,6 +713,7 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
             kept = values if step.kept is None else [values[j] for j in step.kept]
             lines.append(f"pre = {state(step.kets, kept, True)}")
             lines.extend(f"trace.append(({hold(mark)}, pre))" for mark in step.marks)
+    # n is this part's own: the last step, a Hadamard on the spin, relabels nothing.
     lines.append("if n <= zero: return None")
     branches = []
     for b, (outcome, picks, branch) in enumerate(path.readout):  # measure_spin
@@ -734,8 +728,7 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         steps, order, kets = branch
         for f, step in enumerate(steps):  # feed_forward
             post = apply(step, post, f"q{b}_{f}_", "r")
-        squared_norm("r", post := [post[j] for j in order])  # _canonical_photonic
-        lines.append("if r > cap: return None")
+        capped("r", post := [post[j] for j in order])  # _canonical_photonic
         branches.append(f"Branch({hold(outcome)}, w{b} / n, {state(kets, post, False)})")
     lines.append(f"return GateResult({listed(branches)}, n, tuple(trace)), pre")
     coefficients = [f"c{c}" for c in range(path.slots + len(path.constants))]
@@ -751,7 +744,7 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         ]) + lines
     parts.append(part)
     namespace = {
-        "__builtins__": {}, "abs": abs, "sum": sum, "dict": dict, "zip": zip, "tuple": tuple,
+        "__builtins__": {}, "abs": abs, "dict": dict, "zip": zip, "tuple": tuple,
         "sqrt": math.sqrt, "state": StateVector._checked, "GateResult": GateResult, "Branch": Branch,
         "eps": PRUNE_EPS, "cap": 1.0 + NORM_EPS, "zero": PRUNE_EPS ** 2, "weight": MIN_BRANCH_WEIGHT,
         "constants": path.constants, "held": tuple(held),
@@ -760,20 +753,13 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     return sources, namespace
 
 
-@functools.lru_cache(maxsize=256)
-def _part_code(source: str):
-    """A part's code, shared by the paths that write the same source: those of one root
-    that leave each other midway, say, until they part."""
-    return compile(source, "<recorded path>", "exec")
-
-
 def _compiled(path: _Path, photon_count: int):
     """A function calling the parts :func:`_path_source` writes in turn, compiled one
     at a time so the compiler holds one part's source at once."""
     sources, namespace = _path_source(path, photon_count)
     parts = []
     for source in sources:
-        exec(_part_code(source), namespace)
+        exec(compile(source, "<recorded path>", "exec"), namespace)
         parts.append(namespace.pop("part"))
 
     def replay(values: list, amplitudes: tuple):
@@ -817,6 +803,7 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
     or where the readout prunes a ket."""
     kets = _product_kets(program.in_modes, program.spin)
     steps, constants, position, n = [], {}, {k: j for j, k in enumerate(kets)}, 0
+    kept = tuple(position[k] for k in source._amps)
     while n < len(log) and log[n][0] is source:
         _, edges, source = log[n]
         n += 1
@@ -844,7 +831,7 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
         outcomes.append((outcome, tuple(pre_position[k] for k in picked), branch))
     if n != len(log):
         return None
-    return _Path(tuple(steps), tuple(outcomes), tuple(c for c, _ in constants), slots)
+    return _Path(kept, tuple(steps), tuple(outcomes), tuple(c for c, _ in constants), slots)
 
 
 def _plan_step(edges, position: dict, slots: int, constants: dict, result: StateVector,
@@ -891,21 +878,6 @@ def toffoli(
     return result
 
 
-def ideal_oracle(gate: Gate) -> np.ndarray:
-    """Reference permutation on the polarization basis, R before L per qubit.
-
-    The target block flips exactly where every control is left-circular;
-    the matrix is its own inverse.
-    """
-    if gate is Gate.CNOT:
-        matrix = np.eye(4)
-        matrix[[2, 3]] = matrix[[3, 2]]
-    else:
-        matrix = np.eye(8)
-        matrix[[6, 7]] = matrix[[7, 6]]
-    return matrix
-
-
 def output_modes(gate: Gate) -> tuple[int, ...]:
     return CNOT_OUTPUT_MODES if gate is Gate.CNOT else TOF_OUTPUT_MODES
 
@@ -925,26 +897,6 @@ def polarization_amplitudes(
             pols.append(photon.polarization)
         out[tuple(pols)] = amp
     return out
-
-
-def polarization_vector(state: StateVector, modes: Sequence[int]) -> np.ndarray:
-    """Dense amplitude vector over the polarization basis (first photon most significant)."""
-    n = len(modes)
-    vec = np.zeros(2 ** n, dtype=complex)
-    for pols, amp in polarization_amplitudes(state, modes).items():
-        index = 0
-        for pol in pols:
-            index = (index << 1) | int(pol)
-        vec[index] = amp
-    return vec
-
-
-def input_vector(inputs: Sequence[QubitState]) -> np.ndarray:
-    """Dense polarization-basis vector of a product input."""
-    vec = np.array([1.0 + 0j])
-    for q in inputs:
-        vec = np.kron(vec, np.array([q.alpha, q.beta], dtype=complex))
-    return vec
 
 
 FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 PRUNE_EPS = 1e-12
 NORM_EPS = 1e-9
@@ -102,7 +102,7 @@ class PhotonLabel(_PhotonFields):
     """One photon's labels: polarization, propagation direction, spatial mode.
 
     Labels and kets are tuples, so hashing, equality and ordering run in C;
-    their natural tuple order is the :meth:`BasisKet.sort_key` order.
+    their natural tuple order is (polarization, propagation, mode).
     """
 
     __slots__ = ()
@@ -136,13 +136,6 @@ class BasisKet(NamedTuple):
 
     photons: tuple[PhotonLabel, ...]
     spin: SpinBasis | None = None
-
-    def sort_key(self):
-        spin_key = -1 if self.spin is None else int(self.spin)
-        return (
-            tuple((int(p.polarization), int(p.propagation), p.mode) for p in self.photons),
-            spin_key,
-        )
 
     def with_spin(self, spin: SpinBasis | None) -> "BasisKet":
         return BasisKet(self.photons, spin)
@@ -204,7 +197,7 @@ class StateVector:
             if len(ket.photons) != photon_count or (ket.spin is not None) != has_spin:
                 raise StructureError(f"inconsistent ket structure: {ket.token!r}")
 
-        norm_sq = sum(abs(v) ** 2 for v in amps.values())
+        norm_sq = _squared_norm(amps.values())
         if norm_sq > 1.0 + NORM_EPS:
             raise StructureError(f"squared norm {norm_sq} exceeds 1 + {NORM_EPS}")
 
@@ -238,27 +231,7 @@ class StateVector:
         return [k for k, _ in self.items()]
 
     def norm_squared(self) -> float:
-        return sum(abs(v) ** 2 for v in self._amps.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n <= PRUNE_EPS:
-            raise DegenerateStateError("cannot normalize a zero state")
-        return StateVector(
-            {k: v / n for k, v in self._amps.items()},
-            photon_count=self._photon_count,
-            has_spin=self._has_spin,
-        )
-
-    def scaled(self, factor: complex) -> "StateVector":
-        return StateVector(
-            {k: v * factor for k, v in self._amps.items()},
-            photon_count=self._photon_count,
-            has_spin=self._has_spin,
-        )
+        return _squared_norm(self._amps.values())
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -267,6 +240,17 @@ class StateVector:
         terms = ", ".join(f"{k.token}: {v:.4g}" for k, v in self.items()[:6])
         more = "" if len(self._amps) <= 6 else f", ... ({len(self._amps)} kets)"
         return f"StateVector({terms}{more})"
+
+
+def _squared_norm(amplitudes: Iterable[complex]) -> float:
+    """The sum of ``abs(a) ** 2``, added left to right from 0 as the builtin ``sum`` adds
+    floats up to CPython 3.11. From 3.12 that ``sum`` is compensated, and the printed
+    digits rest on this order: the interpreter sums every squared norm here, and a
+    replayed path writes the same additions out."""
+    total = 0
+    for amplitude in amplitudes:
+        total += abs(amplitude) ** 2
+    return total
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -401,7 +385,7 @@ def measure_spin(state: StateVector) -> list[tuple[SpinBasis, float, StateVector
             for k, v in state.items()
             if k.spin is outcome
         }
-        branch_norm_sq = sum(abs(v) ** 2 for v in picked.values())
+        branch_norm_sq = _squared_norm(picked.values())
         if branch_norm_sq <= MIN_BRANCH_WEIGHT:
             continue
         scale = 1.0 / math.sqrt(branch_norm_sq)

@@ -37,10 +37,7 @@ from spincavity.circuits import (
     Gate,
     QUBIT_PLUS,
     cnot,
-    ideal_oracle,
-    input_vector,
     output_modes,
-    polarization_vector,
     toffoli,
 )
 from spincavity.cli import SweepRange, SweepSpec, run_sweep, write_csv
@@ -71,8 +68,11 @@ from conftest import (
     equal_up_to_global_phase,
     exact_figures,
     fidelity,
+    ideal_oracle,
+    input_vector,
     lincomb,
     parse_golden,
+    polarization_vector,
     random_qubit,
     random_state,
     scatter_as_sited_map,

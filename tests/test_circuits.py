@@ -25,18 +25,23 @@ from spincavity.circuits import (
     TOF_OUTPUT_MODES,
     _states,
     cnot,
-    ideal_oracle,
-    input_vector,
     output_modes,
     polarization_amplitudes,
-    polarization_vector,
     simulated_efficiency,
     simulated_fidelity,
     toffoli,
 )
 from spincavity.hilbert import SpinBasis
 from spincavity.metrics import closed_form_figures
-from conftest import fidelity, lincomb, random_qubit
+from conftest import (
+    fidelity,
+    ideal_oracle,
+    input_vector,
+    lincomb,
+    norm,
+    polarization_vector,
+    random_qubit,
+)
 
 BASIS = (QUBIT_R, QUBIT_L)
 OPERATING_POINT = CavityParams(g=2.4, kappa_s=0.5, gamma=0.1)
@@ -240,7 +245,7 @@ class TestRealisticMode:
         assert 0.0 < result.survival < 1.0
         assert abs(sum(b.probability for b in result.branches) - 1.0) < 1e-12
         for branch in result.branches:
-            assert abs(branch.state.norm() - 1.0) < 1e-12
+            assert abs(norm(branch.state) - 1.0) < 1e-12
 
     def test_fidelity_conventions_agree_in_the_ideal_limit(self, rng):
         params = CavityParams(g=300.0, kappa_s=0.0, gamma=0.05)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from spincavity.cavity import CavityParams, coefficients
-from spincavity import cli
+from spincavity import circuits, cli
 from spincavity.cli import (
     ALL_OUTPUTS,
     ConfigError,
@@ -425,6 +425,14 @@ class TestTruthTable:
     def test_flip_row_present(self, capsys):
         _, out, _ = run_cli(capsys, "truth-table", "toffoli")
         assert "L L R -> L L L PASS" in out
+
+    def test_wrong_output_fails(self, capsys, monkeypatch):
+        # A CNOT whose control always leaves as R: the rows with an L control
+        # fail, and the table ends on MISMATCH with the invariant exit code.
+        monkeypatch.setattr(cli, "cnot", lambda control, target: circuits.cnot(circuits.QUBIT_R, target))
+        code, out, err = run_cli(capsys, "truth-table", "cnot")
+        assert (code, err) == (2, "")
+        assert out == "R R -> R R PASS\nR L -> R L PASS\nL R -> L L FAIL\nL L -> L R FAIL\nMISMATCH\n"
 
 
 class TestSweep:

@@ -10,14 +10,17 @@ same error where the interpretation fails.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import tokenize
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,20 +40,12 @@ from spincavity.circuits import (
     QubitState,
     _PROGRAMS,
     _product_amplitudes,
+    _product_kets,
     _readout,
     _run,
     _states,
-    _survivors,
 )
-from spincavity.hilbert import (
-    BasisKet,
-    PhotonLabel,
-    Polarization,
-    Propagation,
-    StateError,
-    StateVector,
-    StructureError,
-)
+from spincavity.hilbert import PRUNE_EPS, StateError, StateVector, StructureError
 
 ARITY = {Gate.CNOT: 2, Gate.TOFFOLI: 3}
 
@@ -229,8 +224,8 @@ def compiled_paths(monkeypatch, fresh_plans):
 
 
 def root_of(gate, inputs, mode):
-    support = _survivors(_product_amplitudes(inputs))[0]
-    return circuits._plan_root(gate, len(mode.scatter_table().amplitudes), support)
+    kept = tuple(j for j, v in enumerate(_product_amplitudes(inputs)) if abs(v) >= PRUNE_EPS)
+    return circuits._plan_root(gate, len(mode.scatter_table().amplitudes), kept)
 
 
 def test_paths_per_root_stay_bounded(compiled_paths, monkeypatch):
@@ -295,9 +290,10 @@ def recorded_path(gate, mode):
 
 
 def written(path, gate):
-    """The products with a coefficient and the ``abs`` calls in the source of ``path``."""
+    """The products with a coefficient, the ``abs`` calls and the squared norms in the
+    source of ``path``."""
     source = "".join(circuits._path_source(path, ARITY[gate])[0])
-    return source.count(" * c"), source.count("abs(")
+    return source.count(" * c"), source.count("abs("), len(re.findall(r" = 0\b", source))
 
 
 @pytest.mark.parametrize("mode", [GateMode.ideal(), REALISTIC])
@@ -310,15 +306,19 @@ def test_unit_constants_write_no_products(gate, mode):
     assert written(path, gate)[0] == len(weighted) < len(indices)
 
 
-@pytest.mark.parametrize("gate, edges, products, magnitudes", [
-    (Gate.CNOT, 130, 80, 66),
-    (Gate.TOFFOLI, 896, 496, 340),
+@pytest.mark.parametrize("gate, edges, products, magnitudes, norms", [
+    (Gate.CNOT, 130, 80, 70, 15),
+    (Gate.TOFFOLI, 896, 496, 348, 33),
 ])
-def test_realistic_path_counts(gate, edges, products, magnitudes):
+def test_realistic_path_counts(gate, edges, products, magnitudes, norms):
     # Relabels (an output whose one edge is a +1 from a computed amplitude)
-    # write no line and no abs: their source's prune test covers them.
+    # write no line and no abs: their source's prune test covers them. Each
+    # of the 2^n input amplitudes has its abs, for the input's own check. A
+    # squared norm is written only where its terms or their order differ from
+    # the last one of its name: that repeats for 3 of the CNOT path's 13 and
+    # 2 of its readout's 5, and for 10 of the Toffoli's 36 and 2 of 7.
     path, indices = recorded_path(gate, REALISTIC)
-    assert (len(indices), *written(path, gate)) == (edges, products, magnitudes)
+    assert (len(indices), *written(path, gate)) == (edges, products, magnitudes, norms)
 
 
 @pytest.mark.parametrize("mode", [GateMode.ideal(), REALISTIC])
@@ -427,26 +427,70 @@ def test_threads_record_and_replay_alike(fresh_plans, monkeypatch):
     assert unrecorded == []
 
 
-parts = st.one_of(
-    st.floats(-1.0, 1.0),
-    st.floats(-2e-12, 2e-12),
-    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, math.nan, math.inf, -math.inf]),
-)
+def test_overweight_input_is_refused_by_the_replay(fresh_plans):
+    # Qubits of weight 1 + 1e-9 (a hair below, as the double nearest to that
+    # fails QubitState's check) pass that check, but their product weighs about
+    # 1 + 3e-9: the path of (+, +, +) has its support, and refuses it as the
+    # state constructor does, so the run raises as before.
+    heavy = QubitState(*[math.sqrt(math.nextafter(1.0 + 1e-9, 0.0) / 2.0)] * 2)
+    for _ in range(2):
+        _run(Gate.TOFFOLI, (QUBIT_PLUS,) * 3, REALISTIC)
+    (replay,) = root_of(Gate.TOFFOLI, (heavy,) * 3, REALISTIC).paths
+    assert replay(_product_amplitudes((heavy,) * 3), REALISTIC.scatter_table().amplitudes) is None
+    want = run_bits(Gate.TOFFOLI, (heavy,) * 3, REALISTIC, interpret)
+    assert want[0] is StructureError and want[1].endswith("exceeds 1 + 1e-09")
+    assert run_bits(Gate.TOFFOLI, (heavy,) * 3, REALISTIC, _run) == want
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.builds(complex, parts, parts), max_size=6))
-def test_survivors_mirror_the_state_constructor(values):
-    # A replay checks values with _survivors where a run builds a StateVector:
-    # it must refuse exactly what the constructor refuses, and otherwise keep
-    # the same kets in the same order and sum the same squared norm.
-    kets = [BasisKet((PhotonLabel(Polarization.R, Propagation.AGAINST_Z, j),)) for j in range(len(values))]
+@functools.cache
+def replay_of(gate, tokens, mode):
+    """A compiled path of ``gate`` on the qubits named by ``tokens`` (R, L or +), and the path."""
+    inputs = tuple({"R": QUBIT_R, "L": QUBIT_L, "+": QUBIT_PLUS}[token] for token in tokens)
+    _, _, path = circuits._interpret(_PROGRAMS[gate], inputs, mode.scatter_table(), [])
+    return circuits._compiled(path, ARITY[gate]), path
+
+
+tiny = st.one_of(st.floats(-2e-12, 2e-12), st.sampled_from([0.0, -0.0, 1e-12, -1e-12, math.nextafter(1e-12, 0.0)]))
+parts = st.one_of(st.floats(-1.0, 1.0), tiny, st.sampled_from([math.nan, math.inf, -math.inf]))
+ordinary = st.builds(complex, st.floats(-0.35, 0.35), st.floats(-0.35, 0.35))
+small = st.builds(complex, tiny, tiny)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_checks_its_input_as_the_state_constructor(data):
+    # A recorded path is fed arbitrary input amplitudes: NaN, infinities,
+    # signed zeros, values either side of PRUNE_EPS, norms either side of the
+    # cap. Where a StateVector over them raises or keeps another support, the
+    # replay returns None; otherwise it gives the bits of interpreting the
+    # gate from that state, or None exactly where that run fails or leaves
+    # the path.
+    gate = data.draw(st.sampled_from(list(Gate)))
+    tokens = data.draw(st.tuples(*[st.sampled_from("RL+")] * ARITY[gate]))
+    mode = data.draw(st.sampled_from([GateMode.ideal(), REALISTIC]))
+    replay, path = replay_of(gate, tokens, mode)
+    # Half the runs draw only finite values that mostly keep the path's support.
+    wild = st.builds(complex, parts, parts) if data.draw(st.booleans()) else st.nothing()
+    kept, off = st.one_of(ordinary, wild), st.one_of(st.just(0j), small, wild)
+    values = [data.draw(kept if j in path.kept else off) for j in range(2 ** ARITY[gate])]
+    program = _PROGRAMS[gate]
+    kets = _product_kets(program.in_modes, program.spin)
+    table = mode.scatter_table()
+    replayed = replay(values, table.amplitudes)
     try:
-        state = StateVector(dict(zip(kets, values)), photon_count=1, has_spin=False)
+        state = StateVector(dict(zip(kets, values)), photon_count=ARITY[gate], has_spin=True)
     except StructureError:
-        assert _survivors(values) is None
+        assert replayed is None
         return
-    key, norm_sq = _survivors(values)
-    kept = list(state._amps)
-    assert kept == (kets if key is None else [kets[j] for j in key])
-    assert repr(norm_sq) == repr(state.norm_squared())
+    if [kets.index(ket) for ket in state._amps] != list(path.kept):
+        assert replayed is None
+        return
+    with mock.patch.object(circuits, "_input_state", lambda *_: state):
+        try:
+            result, pre, again = circuits._interpret(program, None, table, [])
+        except StateError:
+            again = None
+    if again != path:
+        assert replayed is None
+    else:
+        assert run_bits(gate, None, mode, lambda *_: replayed) == run_bits(gate, None, mode, lambda *_: (result, pre))

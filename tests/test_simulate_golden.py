@@ -6,11 +6,13 @@ stdout of one command, recorded before the dict engine's kets became
 tuples. ``cli.main`` is also driven several times in one process, to show
 that the parser it reuses carries no state from one call to the next.
 The stdout of 300 seeded commands is pinned by its sha256, recorded before
-ket tokens were cached and before ``main`` parsed a command once.
+ket tokens were cached and before ``main`` parsed a command once. Neither
+rests on how the builtin ``sum`` adds floats, which CPython 3.12 changed.
 """
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
@@ -20,7 +22,7 @@ import random
 import pytest
 
 from conftest import GOLDEN_DIR
-from spincavity import cli
+from spincavity import circuits, cli
 from spincavity.hilbert import _layout
 
 REALISTIC = ("--mode", "realistic")
@@ -97,6 +99,30 @@ def test_simulate_bytes_match_golden(name):
     assert out == expected
 
 
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum``, except that real numbers with a float among them are added
+    by ``math.fsum``: a compensated float sum, as CPython 3.12 and later have."""
+    items = list(iterable)
+    if any(isinstance(item, float) for item in items) and all(isinstance(item, (int, float)) for item in items):
+        return start + math.fsum(items)
+    return BUILTIN_SUM(items, start)
+
+
+BUILTIN_SUM = builtins.sum
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_simulate_bytes_hold_under_a_compensated_sum(name, monkeypatch):
+    # Every squared norm on the output path is added left to right on purpose,
+    # so the bytes hold whatever the builtin sum does with floats. The command
+    # runs from a cleared plan cache: interpreted, recorded, then replayed.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    expected = (GOLDEN_DIR / f"simulate_{name}.txt").read_text(encoding="utf-8")
+    circuits._plan_root.cache_clear()
+    for _ in range(3):
+        assert run_main(COMMANDS[name]) == (0, expected, "")
+
+
 def test_layout_cache_stays_bounded():
     for argv in COMMANDS.values():
         run_main(argv)
@@ -136,8 +162,9 @@ def seeded_commands(seed: int, count: int) -> list[list[str]]:
     """``simulate --trace`` argv lists over both gates and both modes, with
     random ``alpha:beta`` qubits, about half of them dash-led.
 
-    Amplitudes are normalized with a square root only, which rounds the same
-    on every platform, so the argv lists do too.
+    Amplitudes are normalized by the square root of their squares added left
+    to right, which rounds the same on every platform and CPython version, so
+    the argv lists do too.
     """
     rng = random.Random(seed)
 
@@ -145,7 +172,10 @@ def seeded_commands(seed: int, count: int) -> list[list[str]]:
         if rng.random() < 0.15:
             return rng.choice(("R", "L", "+", "-"))
         parts = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        norm = math.sqrt(sum(part * part for part in parts))
+        squares = 0
+        for part in parts:
+            squares += part * part
+        norm = math.sqrt(squares)
         alpha, beta = complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm
         return f"{repr(alpha).strip('()')}:{repr(beta).strip('()')}"
 
