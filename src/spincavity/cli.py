@@ -93,6 +93,11 @@ class SweepRange:
         ]
 
 
+#: Most grid points a sweep may hold, checked before any point is built: some
+#: 4 s of closed-form rows, all of which a sweep keeps before it writes.
+MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid specification for the figure-of-merit sweep.
@@ -113,6 +118,12 @@ class SweepSpec:
     def validate(self) -> None:
         self.g_over_kappa.validate("g_over_kappa")
         self.kappa_s_over_kappa.validate("kappa_s_over_kappa")
+        g_steps, ks_steps = self.g_over_kappa.steps, self.kappa_s_over_kappa.steps
+        if g_steps * ks_steps > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"g_over_kappa.steps x kappa_s_over_kappa.steps must be at most {MAX_GRID_POINTS}, "
+                f"got {g_steps} x {ks_steps}"
+            )
         if not self.outputs:
             raise ConfigError("outputs: at least one output column is required")
         for i, name in enumerate(self.outputs):
@@ -360,6 +371,8 @@ def _write_matrix(out: TextIO, label: str, matrix) -> None:
 
 def cmd_decoherence(args, out: TextIO) -> int:
     params = DecoherenceParams(t2e=args.t2e, dt=args.dt, tau=args.tau, t2=args.t2)
+    if args.fidelity is not None and not 0.0 <= args.fidelity <= 1.0:  # NaN fails too
+        raise ConfigError(f"fidelity must be within [0, 1], got {args.fidelity}")
     spin = spin_decoherence_factor(params)
     exciton = exciton_dephasing_factor(params)
     out.write(f"spin_decoherence_factor {_fmt(spin)}\n")
@@ -529,19 +542,76 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _canonical_forms() -> dict[str, tuple]:
+    """Per command, from its parser's own actions: the exact long flags of its
+    plain and constant stores, its positionals, its defaults, and the actions
+    a namespace must have seen."""
+    stores = ((argparse._StoreAction.__call__, None), (argparse._StoreConstAction.__call__, 0))
+    forms = {}
+    for name, parser in build_parser().commands.items():
+        actions = [action for action in parser._actions if action.dest != argparse.SUPPRESS]
+        simple = [action for action in actions if (type(action).__call__, action.nargs) in stores]
+        positionals = [action for action in actions if not action.option_strings]
+        if parser._defaults or parser._mutually_exclusive_groups or not set(positionals) <= set(simple):
+            continue
+        flags = {flag: action for action in simple for flag in action.option_strings if flag[:2] == "--"}
+        defaults = {action.dest: action.default for action in actions if action.default is not argparse.SUPPRESS}
+        # argparse passes an unseen string default through the action's type: leave that to it.
+        required = {action for action in actions if action.required or action.type and isinstance(action.default, str)}
+        forms[name] = flags, positionals, defaults, required
+    return forms
+
+
+def _parse_canonical(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a canonical ``argv``, or None for any other.
+
+    Canonical: a command, its positionals in order, each of its flags at most
+    once and in full, a value as ``--flag=value`` or as a next token that does
+    not start with ``-``, every value one its type and choices accept, and
+    every required argument given. Help and errors are left to argparse.
+    """
+    form = _canonical_forms().get(argv[0]) if argv else None
+    if form is None:
+        return None
+    flags, positionals, defaults, required = form
+    values, seen = {**defaults, "command": argv[0]}, set()
+    tokens, positional = iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        flag, joined, text = token.partition("=") if token[:1] == "-" else ("", "", token)
+        action = flags.get(flag) if flag else next(positional, None)
+        if action is None or action in seen or action.nargs == 0 and joined:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        if flag and not joined and (text := next(tokens, "-"))[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except Exception:  # argparse reports it
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with one pass over a named command's flags.
 
-    The top-level parser hands a command's tokens to that command's parser,
-    so calling it directly gives the same namespace, errors and help. The
-    top-level parser runs only to report no command, an unknown one, or its
-    own help.
+    A canonical argv is read straight from the actions (``_parse_canonical``).
+    Otherwise the top-level parser hands a command's tokens to that command's
+    parser, so calling it directly gives the same namespace, errors and help.
+    The top-level parser runs only to report no command, an unknown one, or
+    its own help.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _parse_canonical(argv) or command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -376,7 +376,25 @@ def one_parse_corpus(tmp_path: Path) -> list[list[str]]:
         ["simulate", "-h"],
         ["-h"],
         ["sweep", "--he"],
+        *DECLINED,
+        # canonical, so read without argparse: joined values, a dash-led one, -0.0
+        ["decoherence", "--fidelity", "-0.0", "--t2=90"],
+        ["simulate", "toffoli", "--control=+", "--target", "-0.6j:0.8", "--control2", "L", "--g", "-0.0"],
     ]
+
+
+#: One argv for each form the canonical parse leaves to argparse, besides
+#: abbreviations, ``-h``, a missing flag, a bad choice and a value its type
+#: rejects, which the corpus holds already.
+DECLINED = [
+    ["coeffs", "--help"],
+    ["truth-table", "--", "cnot"],
+    ["coeffs", "--g", "1.5", "--g", "2"],
+    ["coeffs", "--bogus", "1"],
+    ["simulate", "cnot", "--control", "+", "--target", "R", "--trace=x"],
+    ["simulate", "--control", "+", "--target", "R"],
+    ["simulate", "cnot", "--control", "-", "--target", "R"],
+]
 
 
 def run_parsed(monkeypatch, parse, argv, tmp_path):
@@ -409,7 +427,30 @@ def test_one_parse_matches_the_top_level_parse(monkeypatch, tmp_path):
         twice = run_parsed(monkeypatch, lambda tokens: cli.build_parser().parse_args(tokens), argv, tmp_path)
         assert once == twice, argv
         codes.append(once[0])
-    assert codes.count(0) == 15 and codes.count(1) == 13 and codes.count(("exit", 0)) == 3
+    assert codes.count(0) == 20 and codes.count(1) == 16 and codes.count(("exit", 0)) == 4
+
+
+def test_canonical_parse_declines_what_argparse_must_read(tmp_path):
+    corpus = one_parse_corpus(tmp_path)
+    canonical = [argv for argv in corpus if cli._parse_canonical(cli._attach_dash_values(argv)) is not None]
+    # Every command with defaults only or every flag in full, but for the
+    # Toffoli whose --control2 is a lone "-", then the last two.
+    assert canonical == [*corpus[:6], *corpus[7:10], *corpus[-2:]]
+    assert not any(argv in canonical for argv in DECLINED)
+
+
+def test_a_typed_string_default_is_left_to_argparse(monkeypatch):
+    # argparse passes an unseen string default through the action's type, so
+    # only an argv that gives the flag is read without it.
+    outputs = cli.build_parser().commands["sweep"]._option_string_actions["--outputs"]
+    monkeypatch.setattr(outputs, "type", str.upper)
+    cli._canonical_forms.cache_clear()
+    try:
+        assert cli._parse_canonical(["sweep"]) is None
+        assert cli.build_parser().parse_args(["sweep"]).outputs == ",".join(cli.CLOSED_FORM_OUTPUTS).upper()
+        assert cli._parse_canonical(["sweep", "--outputs", "f_cnot"]).outputs == "F_CNOT"
+    finally:
+        cli._canonical_forms.cache_clear()
 
 
 class TestTruthTable:
@@ -713,6 +754,19 @@ class TestDecoherenceReport:
         assert "adjusted_fidelity_amount_reading" in out
         assert "adjusted_fidelity_factor_reading" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "2", "1.0000000000000002", "-5e-324"])
+    def test_fidelity_outside_the_unit_interval_rejected(self, capsys, value):
+        # A fidelity is a probability: NaN, infinite or out-of-range values
+        # used to print nan, inf, or adjusted readings below 0 or above 1.
+        code, out, err = run_cli(capsys, "decoherence", "--fidelity", value)
+        assert (code, out) == (1, "")
+        assert err == f"error: fidelity must be within [0, 1], got {float(value)}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "1"])
+    def test_fidelity_at_the_interval_ends(self, capsys, value):
+        code, out, _ = run_cli(capsys, "decoherence", "--fidelity", value)
+        assert code == 0 and "adjusted_fidelity_factor_reading" in out
+
 
 def test_spec_validation_directly():
     spec = SweepSpec(
@@ -722,3 +776,15 @@ def test_spec_validation_directly():
     )
     with pytest.raises(ConfigError):
         spec.validate()
+
+
+@pytest.mark.parametrize("g_steps,ks_steps", [(100_000_000_000, 50), (50, 10**7), (1001, 1000)])
+def test_grid_over_a_million_points_rejected_before_any_is_built(g_steps, ks_steps):
+    # validate() only: no point list is ever built, at any grid size.
+    spec = SweepSpec(g_over_kappa=SweepRange(0.0, 5.0, g_steps), kappa_s_over_kappa=SweepRange(0.0, 1.0, ks_steps))
+    with pytest.raises(ConfigError, match=rf"^g_over_kappa\.steps x kappa_s_over_kappa\.steps must be at most 1000000, got {g_steps} x {ks_steps}$"):
+        spec.validate()
+
+
+def test_grid_of_a_million_points_is_valid():
+    SweepSpec(g_over_kappa=SweepRange(0.0, 5.0, 1000), kappa_s_over_kappa=SweepRange(0.0, 1.0, 1000)).validate()

@@ -12,6 +12,7 @@ rests on how the builtin ``sum`` adds floats, which CPython 3.12 changed.
 
 from __future__ import annotations
 
+import argparse
 import builtins
 import contextlib
 import hashlib
@@ -211,3 +212,26 @@ def test_seeded_commands_print_pinned_bytes():
         assert (code, err) == (0, ""), argv
         digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == SEEDED_STDOUT_SHA256
+
+
+#: The benchmark's ``simulate`` argv: ``(re+imj):(re+imj)`` qubits, realistic, traced.
+GATE_SHOT = [
+    "simulate", "toffoli", "--control", "(0.6+0.0j):(0.0+0.8j)", "--control2", "(0.0+1.0j):(0.0-0.0j)",
+    "--target", "(0.8+0.0j):(-0.6+0.0j)", "--mode", "realistic", "--trace", "--g", "2.4", "--kappa-s", "0.5",
+]
+
+
+def test_seeded_commands_skip_argparse(monkeypatch):
+    """Only the commands with a lone ``-`` qubit, which the canonical parse
+    leaves to argparse, reach ``parse_known_args``."""
+    reached = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        reached.append(args)
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in [*seeded_commands(2026, 300), GATE_SHOT]:
+        assert run_main(argv)[0] == 0, argv
+    assert len(reached) == 22 and all("-" in args for args in reached)
