@@ -16,7 +16,6 @@ from .circuits import (
     Gate,
     GateMode,
     GateResult,
-    PreconditionError,
     QUBIT_L,
     QUBIT_MINUS,
     QUBIT_PLUS,

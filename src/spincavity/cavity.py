@@ -15,6 +15,7 @@ which is fixed at one; this matches the axes used everywhere downstream
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -71,10 +72,11 @@ class CavityParams:
             self.g + self.kappa_s + self.gamma + self.kappa + self.delta_c + self.delta_x
         ):
             require_finite(self)
-        if self.g < 0 or self.kappa_s < 0 or self.gamma < 0:
-            raise ValueError("rates g, kappa_s, gamma must be non-negative")
+        for name, rate in (("g", self.g), ("kappa_s", self.kappa_s), ("gamma", self.gamma)):
+            if rate < 0:
+                raise ValueError(f"{name} must be non-negative, got {rate}")
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 class ScatterCoeffs(NamedTuple):
@@ -122,8 +124,15 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
         dipole = 1j * params.delta_x + params.gamma / 2.0
         cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
     g_squared = _squared(params.g)
-    dipole_ct, t0 = _cold_terms(params.kappa, dipole, cavity_term)
-    t = _hot_transmission(-params.kappa * dipole, dipole_ct, g_squared)
+    try:  # rates near the float range can overflow a product or a modulus
+        dipole_ct, t0 = _cold_terms(params.kappa, dipole, cavity_term)
+        t = _hot_transmission(-params.kappa * dipole, dipole_ct, g_squared)
+        finite = cmath.isfinite(t) and cmath.isfinite(t0)
+    except OverflowError:
+        finite = False
+    if not finite:
+        named = ", ".join(f"{field.name} = {getattr(params, field.name)}" for field in fields(params))
+        raise ValueError(f"the coefficients overflow at {named}")
     return ScatterCoeffs(t, 1.0 + t, t0, 1.0 + t0)
 
 

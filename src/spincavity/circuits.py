@@ -97,10 +97,6 @@ _UP_Z = Propagation.ALONG_Z
 _DOWN_Z = Propagation.AGAINST_Z
 
 
-class PreconditionError(StateError):
-    """A gate was started from an unsupported spin initialization."""
-
-
 # Control-stage paths, shared by the CNOT control photon and the Toffoli's
 # first control photon. Indices follow the circuit diagrams.
 C_STAGE_IN = 0        # input port
@@ -510,54 +506,34 @@ def _states(program: _GateProgram, inputs: Sequence[QubitState], table: ScatterT
         yield step, state
 
 
-def _canonical_photonic(state: StateVector) -> StateVector:
-    """Erase propagation labels at the circuit output.
-
-    At the output ports direction is a function of polarization and mode,
-    never an independent degree of freedom; if two kets collided here the
-    run would have left direction-dependent amplitude behind, which is a
-    broken invariant worth failing loudly on.
-    """
-    amps: dict[BasisKet, complex] = {}
-    for ket, amp in state.items():
-        photons = tuple(
-            PhotonLabel(p.polarization, _DOWN_Z, p.mode) for p in ket.photons
-        )
-        new = BasisKet(photons, ket.spin)
-        if new in amps:
-            raise StateError("direction-dependent amplitude remains at circuit output")
-        amps[new] = amp
-    return StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
-
-
 def _readout(state: StateVector, ff_rule):
-    """Each readout branch: outcome, probability, post-measurement state and output state."""
-    for outcome, probability, post in measure_spin(state):
-        yield outcome, probability, post, _canonical_photonic(feed_forward(post, outcome, ff_rule))
+    """Each readout branch: outcome, probability, post-measurement state and output state.
 
-
-def _run(
-    gate: Gate,
-    inputs: Sequence[QubitState],
-    mode: GateMode,
-    spin_init: SpinBasis | None = None,
-) -> tuple[GateResult, StateVector]:
-    """Run ``gate`` on product ``inputs``: the result and the joint state before readout.
-
-    ``spin_init`` defaults to the spin preparation the gate needs. The run
-    replays a path that an earlier run of its kind recorded, or else is
-    interpreted; both give the same bits (see :func:`_path_source`). The first
-    run of a kind that misses is not recorded, so a one-shot command pays
-    nothing for the cache.
+    Every gate routes each output photon heading down, and the Paulis keep
+    its direction, so the feed-forward state is the output state as it is.
     """
+    for outcome, probability, post in measure_spin(state):
+        yield outcome, probability, post, feed_forward(post, outcome, ff_rule)
+
+
+def _program(gate: Gate, inputs: Sequence[QubitState]) -> _GateProgram:
+    """The program of ``gate``, which takes one qubit per input port."""
     program = _PROGRAMS[gate]
     arity = len(program.in_modes)
     if len(inputs) != arity:
         raise StateError(f"{program.name} takes exactly {_QUBIT_COUNT_WORDS[arity]} qubits")
-    if spin_init is not None and spin_init is not program.spin:
-        raise PreconditionError(
-            f"the {program.name} needs the spin initialized {program.spin.name.lower()}"
-        )
+    return program
+
+
+def _run(gate: Gate, inputs: Sequence[QubitState], mode: GateMode) -> GateResult:
+    """Run ``gate`` on product ``inputs``.
+
+    The run replays a path that an earlier run of its kind recorded, or else
+    is interpreted; both give the same bits (see :func:`_path_source`). The
+    first run of a kind that misses is not recorded, so a one-shot command
+    pays nothing for the cache.
+    """
+    program = _program(gate, inputs)
     table = mode.scatter_table()
     values = _product_amplitudes(inputs)
     kept = tuple([j for j, v in enumerate(values) if abs(v) >= PRUNE_EPS])
@@ -568,12 +544,12 @@ def _run(
     with _PLANS_LOCK:
         root.misses += 1
         log = [] if 1 < root.misses <= _PATHS_PER_ROOT + 1 else None
-    result, pre, path = _interpret(program, inputs, table, log)
+    result, _, path = _interpret(program, inputs, table, log)
     if path is not None:
-        replay = _compiled(path, arity)  # here, so no replayed run pays for a compile
+        replay = _compiled(path, len(inputs))  # here, so no replayed run pays for a compile
         with _PLANS_LOCK:
             root.paths += (replay,)
-    return result, pre
+    return result
 
 
 # -- recorded runs ------------------------------------------------------------
@@ -614,8 +590,7 @@ class _Step(NamedTuple):
 class _Path(NamedTuple):
     """A logged run: the positions its input keeps, its ``steps``, then per outcome
     ``(outcome, positions of its kets in ket order, branch)``; ``branch`` is None if the
-    outcome has none, else the feed-forward steps, the positions of their output in ket
-    order and the output kets."""
+    outcome has none, else the feed-forward steps and the kets of their output."""
 
     kept: tuple
     steps: tuple
@@ -646,10 +621,9 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
     """The sources of the parts that replay ``path``, and their namespace. Each
     ``part(values, table amplitudes, trace)`` takes what the part before returned (the
     first, the input amplitudes) and appends its trace states; the last returns the
-    result and the pre-readout state. A part returns None where the run leaves the path
-    or fails a value check: those of the state constructor (a prune test, which a NaN
-    fails, and the squared-norm cap), the input's first, then a zero state and a branch
-    weight. The interpreter then reruns it and raises as always. Structural checks depend
+    result. A part returns None where the run leaves the path or fails a value check:
+    those of the state constructor (a prune test, which a NaN fails, and the squared-norm
+    cap), the input's first, then a zero state and a branch weight. The interpreter then reruns it and raises as always. Structural checks depend
     only on the kets, the recorded ones, and ran at recording. The sources hold only
     integer indices and fixed names."""
     held, blocks, sums = [], [], {}
@@ -711,8 +685,8 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         values = apply(step, values, f"a{s}_", "n", s > 0)  # names unique per step, for relabels
         if step.kets is not None:
             kept = values if step.kept is None else [values[j] for j in step.kept]
-            lines.append(f"pre = {state(step.kets, kept, True)}")
-            lines.extend(f"trace.append(({hold(mark)}, pre))" for mark in step.marks)
+            lines.append(f"marked = {state(step.kets, kept, True)}")
+            lines.extend(f"trace.append(({hold(mark)}, marked))" for mark in step.marks)
     # n is this part's own: the last step, a Hadamard on the spin, relabels nothing.
     lines.append("if n <= zero: return None")
     branches = []
@@ -725,12 +699,11 @@ def _path_source(path: _Path, photon_count: int) -> tuple[list[str], dict]:
         post = [f"p{b}_{j}" for j in range(len(picks))]
         lines.extend(f"{p} = {values[j]} * f" for p, j in zip(post, picks))
         check(post, range(len(post)), range(len(post)), "r")
-        steps, order, kets = branch
-        for f, step in enumerate(steps):  # feed_forward
+        steps, kets = branch
+        for f, step in enumerate(steps):  # feed_forward, which keeps every ket
             post = apply(step, post, f"q{b}_{f}_", "r")
-        capped("r", post := [post[j] for j in order])  # _canonical_photonic
         branches.append(f"Branch({hold(outcome)}, w{b} / n, {state(kets, post, False)})")
-    lines.append(f"return GateResult({listed(branches)}, n, tuple(trace)), pre")
+    lines.append(f"return GateResult({listed(branches)}, n, tuple(trace))")
     coefficients = [f"c{c}" for c in range(path.slots + len(path.constants))]
     parts, part = [], []  # each part binds the coefficients to locals, then what it reads
     for reads, lines in blocks:
@@ -799,8 +772,8 @@ def _interpret(
 def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pre: StateVector,
           readout: list, slots: int):
     """The path that replays a logged run. None where the log is not one chain of sited
-    maps from the input ``source`` to ``pre`` and on from each post-measurement state,
-    or where the readout prunes a ket."""
+    maps from the input ``source`` to ``pre`` and on from each post-measurement state to
+    its output state, or where the readout or the feed-forward prunes a ket."""
     kets = _product_kets(program.in_modes, program.spin)
     steps, constants, position, n = [], {}, {k: j for j, k in enumerate(kets)}, 0
     kept = tuple(position[k] for k in source._amps)
@@ -808,7 +781,7 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
         _, edges, source = log[n]
         n += 1
         names = tuple(marks.get(n, ()))
-        step, position = _plan_step(edges, position, slots, constants, source, names, source is pre)
+        step, position = _plan_step(edges, position, slots, constants, source, names)
         steps.append(step)
     if source is not pre or not steps:
         return None
@@ -825,9 +798,9 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
                 n += 1
                 step, position = _plan_step(edges, position, slots, constants, source)
                 feed.append(step)
-            if not len(source) == len(position) == len(out):
+            if source is not out or len(source) != len(position):
                 return None
-            branch = (tuple(feed), tuple(position[k] for k in source.kets()), tuple(out._amps))
+            branch = (tuple(feed), tuple(out._amps))
         outcomes.append((outcome, tuple(pre_position[k] for k in picked), branch))
     if n != len(log):
         return None
@@ -835,7 +808,7 @@ def _path(program: _GateProgram, log: list, source: StateVector, marks: dict, pr
 
 
 def _plan_step(edges, position: dict, slots: int, constants: dict, result: StateVector,
-               marks: tuple = (), keep: bool = False):
+               marks: tuple = ()):
     """Logged edges as a :class:`_Step` over the kets ``position`` numbers, and the
     numbering of the step's output kets. A constant takes the next index in
     ``constants`` on first use; equal ones share it (keyed with their sign, so 0.0
@@ -851,31 +824,20 @@ def _plan_step(edges, position: dict, slots: int, constants: dict, result: State
         plan.append((source, outputs.setdefault(out, len(outputs)), index))
     kept = tuple(j for j, k in enumerate(outputs) if k in result._amps)
     kept = None if len(kept) == len(outputs) else kept
-    kets = tuple(result._amps) if keep or marks else None
+    kets = tuple(result._amps) if marks else None
     return _Step(tuple(plan), len(outputs), kept, kets, marks), outputs
 
 
-def cnot(
-    control: QubitState,
-    target: QubitState,
-    mode: GateMode = GateMode.ideal(),
-    spin_init: SpinBasis = SpinBasis.DOWN,
-) -> GateResult:
+def cnot(control: QubitState, target: QubitState, mode: GateMode = GateMode.ideal()) -> GateResult:
     """Run the two-photon CNOT; flips the target when the control is left-circular."""
-    result, _ = _run(Gate.CNOT, (control, target), mode, spin_init)
-    return result
+    return _run(Gate.CNOT, (control, target), mode)
 
 
 def toffoli(
-    control_1: QubitState,
-    control_2: QubitState,
-    target: QubitState,
-    mode: GateMode = GateMode.ideal(),
-    spin_init: SpinBasis = SpinBasis.UP,
+    control_1: QubitState, control_2: QubitState, target: QubitState, mode: GateMode = GateMode.ideal()
 ) -> GateResult:
     """Run the three-photon Toffoli; flips the target when both controls are left-circular."""
-    result, _ = _run(Gate.TOFFOLI, (control_1, control_2, target), mode, spin_init)
-    return result
+    return _run(Gate.TOFFOLI, (control_1, control_2, target), mode)
 
 
 def output_modes(gate: Gate) -> tuple[int, ...]:
@@ -885,7 +847,8 @@ def output_modes(gate: Gate) -> tuple[int, ...]:
 def polarization_amplitudes(
     state: StateVector, modes: Sequence[int]
 ) -> dict[tuple[Polarization, ...], complex]:
-    """Amplitudes keyed by polarization pattern, for direction-erased output states."""
+    """Amplitudes keyed by polarization pattern, for output states: each photon must
+    sit at its output mode."""
     out: dict[tuple[Polarization, ...], complex] = {}
     for ket, amp in state.items():
         pols = []
@@ -1051,7 +1014,7 @@ def _readout_row(
     for column, ket in enumerate(kets):
         if ket.spin is outcome:
             post = feed_forward(StateVector({ket.with_spin(None): 1.0}), outcome, rule)
-            row[column] = inner_product(_canonical_photonic(post), reference).conjugate()
+            row[column] = inner_product(post, reference).conjugate()
     return row
 
 
@@ -1076,14 +1039,14 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     two runs must record one path, and so keep the same kets at every step;
     the polynomials must reproduce both runs to 1e-12.
     """
-    program = _PROGRAMS[gate]
-    ideal_result, ideal_pre = _run(gate, inputs, GateMode.ideal())
+    program = _program(gate, inputs)
+    ideal_result, ideal_pre, _ = _interpret(program, inputs, ideal_scatter())
     generic_inputs = tuple(
         generic if q.alpha and q.beta else q for q, generic in zip(inputs, _GENERIC_QUBITS)
     )
     tables = [realistic_scatter(c) for c in _GENERIC_POINTS]
     runs = [_interpret(program, generic_inputs, table, []) for table in tables]
-    path = runs[0][2]
+    _, pre, path = runs[0]
     if path is None or any(other != path for _, _, other in runs):
         raise StructureError(f"the generic runs of the {program.name} record different paths")
     product = {ket: j for j, ket in enumerate(_product_kets(program.in_modes, program.spin))}
@@ -1108,7 +1071,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
             passes.append(fold)
             fold = None
         column = row
-    kets = path.steps[-1].kets
+    kets = tuple(pre._amps)  # in the order of the last step's rows
     index = {ket: i for i, ket in enumerate(kets)}
 
     monomials = _monomials(len(passes))

@@ -14,7 +14,7 @@ reported fidelities on request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +60,11 @@ class DecoherenceParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if min(self.t2e, self.tau, self.t2) <= 0 or self.dt < 0:
-            raise ValueError("time scales must be positive (dt may be zero)")
+        for field in fields(self):  # the first bad one; only dt may be zero
+            value = getattr(self, field.name)
+            if value < 0 or (value == 0 and field.name != "dt"):
+                kind = "non-negative" if field.name == "dt" else "positive"
+                raise ValueError(f"{field.name} must be {kind}, got {value}")
 
 
 def closed_form_figures(coeffs: ScatterCoeffs) -> GateFigures:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spincavity.circuits import Gate, GateMode, QubitState, _run, polarization_amplitudes
+from spincavity.circuits import _PROGRAMS, Gate, GateMode, QubitState, _interpret, _run, polarization_amplitudes
 from spincavity.hilbert import (
     PRUNE_EPS,
     BasisKet,
@@ -260,6 +260,12 @@ def exact_figures(at, ar, at0, ar0) -> dict[str, Fraction]:
     }
 
 
+def interpreted(gate, inputs, mode: GateMode):
+    """A gate run interpreted afresh: its result and the joint state just before readout."""
+    result, pre, _ = _interpret(_PROGRAMS[gate], inputs, mode.scatter_table())
+    return result, pre
+
+
 def dict_figures(gate, inputs, mode: GateMode, ideal=None) -> tuple[float, float, float]:
     """Lossy-vs-ideal fidelities and survival straight from dict-engine gate runs.
 
@@ -267,10 +273,10 @@ def dict_figures(gate, inputs, mode: GateMode, ideal=None) -> tuple[float, float
     each readout branch's overlap with the ideal output by its probability,
     ``pre-measurement`` compares the renormalized joint states before readout.
     Returns (per-branch-averaged, pre-measurement, survival). ``ideal`` is the
-    ideal ``_run`` of the same inputs, run here when not given.
+    :func:`interpreted` ideal run of the same inputs, run here when not given.
     """
-    ideal_result, ideal_pre = ideal or _run(gate, inputs, GateMode.ideal())
-    real_result, real_pre = _run(gate, inputs, mode)
+    ideal_result, ideal_pre = ideal or interpreted(gate, inputs, GateMode.ideal())
+    real_result, real_pre = interpreted(gate, inputs, mode)
     reference = ideal_result.branches[0].state
     per_branch = sum(
         branch.probability * fidelity(branch.state, reference)
@@ -287,8 +293,7 @@ def dict_fidelity(gate, inputs, mode: GateMode, convention: str = "per-branch-av
 
 def dict_efficiency(gate, inputs, mode: GateMode) -> float:
     """Survival of a dict-engine gate run: the compiled evaluation's reference."""
-    result, _ = _run(gate, inputs, mode)
-    return result.survival
+    return _run(gate, inputs, mode).survival
 
 
 def parse_golden(name: str) -> dict[str, StateVector]:

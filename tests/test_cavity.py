@@ -8,6 +8,7 @@ in the package is checked against an independent route.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,34 @@ class TestCoefficients:
             CavityParams(g=-1.0)
         with pytest.raises(ValueError):
             CavityParams(g=1.0, kappa=0.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"g": -1.0}, "g must be non-negative, got -1.0"),
+        ({"g": 1.0, "kappa_s": -0.5}, "kappa_s must be non-negative, got -0.5"),
+        ({"g": 1.0, "gamma": -5e-324}, "gamma must be non-negative, got -5e-324"),
+        ({"g": 1.0, "kappa": 0.0}, "kappa must be positive, got 0.0"),
+        ({"g": 1.0, "kappa": -2.0}, "kappa must be positive, got -2.0"),
+        # The first bad field is named.
+        ({"g": -1.0, "kappa_s": -2.0, "gamma": -3.0, "kappa": 0.0}, "g must be non-negative, got -1.0"),
+        ({"g": 1.0, "kappa_s": -2.0, "gamma": -3.0}, "kappa_s must be non-negative, got -2.0"),
+    ])
+    def test_out_of_range_parameter_is_named(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CavityParams(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"g": 0.0, "gamma": 1e308, "delta_c": 3.5},  # the modulus of dipole x cavity overflows
+        {"g": 0.0, "gamma": 1.0, "delta_c": 1e308, "delta_x": 1.7e308},  # their product is infinite
+        {"g": 0.0, "kappa_s": 1.7e308, "delta_c": 1.7e308},  # the cold cavity's modulus overflows
+    ])
+    def test_overflowing_coefficients_name_every_parameter(self, fields):
+        params = CavityParams(**fields)
+        named = ", ".join(f"{name} = {value}" for name, value in vars(params).items())
+        with pytest.raises(ValueError, match=f"^the coefficients overflow at {re.escape(named)}$"):
+            coefficients(params)
+
+    def test_signed_zero_rates_are_accepted(self):
+        CavityParams(g=-0.0, kappa_s=-0.0, gamma=-0.0)
 
     @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "kappa", "delta_c", "delta_x"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -17,26 +17,29 @@ from spincavity.circuits import (
     CNOT_OUTPUT_MODES,
     Gate,
     GateMode,
-    PreconditionError,
     QUBIT_L,
     QUBIT_PLUS,
     QUBIT_R,
     QubitState,
     TOF_OUTPUT_MODES,
+    _run,
     _states,
     cnot,
+    gate_figures,
     output_modes,
     polarization_amplitudes,
     simulated_efficiency,
     simulated_fidelity,
     toffoli,
 )
-from spincavity.hilbert import SpinBasis
+from spincavity.hilbert import Propagation, StateError
 from spincavity.metrics import closed_form_figures
 from conftest import (
+    allclose,
     fidelity,
     ideal_oracle,
     input_vector,
+    interpreted,
     lincomb,
     norm,
     polarization_vector,
@@ -45,6 +48,25 @@ from conftest import (
 
 BASIS = (QUBIT_R, QUBIT_L)
 OPERATING_POINT = CavityParams(g=2.4, kappa_s=0.5, gamma=0.1)
+ARITY = {Gate.CNOT: 2, Gate.TOFFOLI: 3}
+
+qubits = st.builds(
+    lambda theta, phi: QubitState(
+        math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))
+    ),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+#: Ideal, or lossy at a resonant cavity whose survival stays above zero.
+modes = st.one_of(
+    st.just(GateMode.ideal()),
+    st.builds(
+        lambda g, kappa_s, gamma: GateMode.realistic(CavityParams(g=g, kappa_s=kappa_s, gamma=gamma)),
+        st.floats(0.0, 6.0),
+        st.floats(0.0, 1.5),
+        st.floats(0.01, 1.0),
+    ),
+)
 
 
 def run(gate, inputs, mode=GateMode.ideal()):
@@ -123,10 +145,6 @@ class TestIdealCnot:
         purity = np.trace(reduced @ reduced).real
         assert abs(purity - 0.5) < 1e-9
 
-    def test_spin_precondition(self):
-        with pytest.raises(PreconditionError):
-            cnot(QUBIT_R, QUBIT_R, spin_init=SpinBasis.UP)
-
     def test_trace_names(self):
         result = cnot(QUBIT_PLUS, QUBIT_PLUS)
         assert [name for name, _ in result.trace] == [
@@ -161,10 +179,6 @@ class TestIdealToffoli:
             result = toffoli(*(random_qubit(rng) for _ in range(3)))
             a, b = (branch.state for branch in result.branches)
             assert fidelity(a, b) >= 1.0 - 1e-9
-
-    def test_spin_precondition(self):
-        with pytest.raises(PreconditionError):
-            toffoli(QUBIT_R, QUBIT_R, QUBIT_R, spin_init=SpinBasis.DOWN)
 
     def test_trace_names(self):
         result = toffoli(QUBIT_PLUS, QUBIT_PLUS, QUBIT_PLUS)
@@ -257,27 +271,25 @@ class TestRealisticMode:
         with pytest.raises(ValueError):
             simulated_fidelity(Gate.CNOT, (QUBIT_R, QUBIT_R), OPERATING_POINT, "median")
 
-    def test_lossy_pipeline_is_linear_in_the_inputs(self):
-        # End-to-end linearity of the whole lossy Toffoli: the joint state
-        # before readout for a superposed qubit equals the superposition of
-        # the basis runs. This exercises every pass, switch epoch, and sink.
-        from spincavity.circuits import _run
-        from conftest import allclose
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lossy_pipeline_is_linear_in_the_inputs(self, data):
+        # End-to-end linearity of either whole gate, ideal or lossy: the joint
+        # state before readout for a superposed qubit in any slot equals the
+        # superposition of the basis runs. This exercises every pass, switch
+        # epoch, and sink.
+        gate = data.draw(st.sampled_from(list(Gate)), "gate")
+        mode = data.draw(modes, "mode")
+        mixed = data.draw(qubits, "qubit")
+        slot = data.draw(st.integers(0, ARITY[gate] - 1), "slot")
+        others = data.draw(st.tuples(*[st.sampled_from(BASIS)] * ARITY[gate]), "basis qubits")
 
-        params = CavityParams(g=1.3, kappa_s=0.6, gamma=0.15)
-        alpha = complex(0.6, 0.3)
-        beta = complex(0.46099829062524844, 0.5809307842080664)  # unit weight
-        mixed = QubitState(alpha, beta)
-        for slot in range(3):
-            def inputs(q):
-                base = [QubitState(0.8, 0.6j), QUBIT_L, QUBIT_R]
-                base[slot] = q
-                return tuple(base)
+        def pre(qubit):
+            inputs = others[:slot] + (qubit,) + others[slot + 1:]
+            return interpreted(gate, inputs, mode)[1]
 
-            _, pre_mixed = _run(Gate.TOFFOLI, inputs(mixed), GateMode.realistic(params))
-            _, pre_r = _run(Gate.TOFFOLI, inputs(QUBIT_R), GateMode.realistic(params))
-            _, pre_l = _run(Gate.TOFFOLI, inputs(QUBIT_L), GateMode.realistic(params))
-            assert allclose(pre_mixed, lincomb([(alpha, pre_r), (beta, pre_l)]), 1e-12)
+        want = lincomb([(mixed.alpha, pre(QUBIT_R)), (mixed.beta, pre(QUBIT_L))])
+        assert allclose(pre(mixed), want, 1e-12)
 
     def test_survival_monotone_in_leakage(self):
         for inputs in (
@@ -346,6 +358,35 @@ def test_ideal_mode_equals_ideal_coefficients(gate, rand):
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
         assert allclose(got.state, want.state, 1e-12)
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_output_photon_heads_down_at_its_output_mode(data):
+    # The output rails all lead down and the feed-forward Paulis keep
+    # direction, so a branch state needs no relabelling: each photon of each
+    # ket heads down at its gate's output mode, and no ket carries a spin.
+    gate = data.draw(st.sampled_from(list(Gate)), "gate")
+    inputs = data.draw(st.tuples(*[qubits] * ARITY[gate]), "inputs")
+    result = run(gate, inputs, data.draw(modes, "mode"))
+    for branch in result.branches:
+        for ket in branch.state._amps:
+            assert ket.spin is None
+            assert [(p.propagation, p.mode) for p in ket.photons] == [
+                (Propagation.AGAINST_Z, mode) for mode in output_modes(gate)
+            ]
+
+
+@pytest.mark.parametrize("gate, count", [(Gate.CNOT, 1), (Gate.CNOT, 3), (Gate.TOFFOLI, 2), (Gate.TOFFOLI, 4)])
+def test_every_entry_point_checks_the_qubit_count(gate, count):
+    # The runs behind cnot and toffoli, replayed or not, and the compile behind
+    # gate_figures all take one qubit per input port.
+    name, words = ("CNOT", "two") if gate is Gate.CNOT else ("Toffoli", "three")
+    inputs = (QUBIT_PLUS,) * count
+    message = f"^{name} takes exactly {words} qubits$"
+    with pytest.raises(StateError, match=message):
+        _run(gate, inputs, GateMode.ideal())
+    with pytest.raises(StateError, match=message):
+        gate_figures(gate, inputs, coefficients(OPERATING_POINT))
 
 class TestQubitState:
     def test_weight_validation(self):

@@ -245,7 +245,7 @@ def test_singular_cavity_names_g_and_gamma(capsys, argv):
     (["simulate", "toffoli", "--control", "+", "--target", "R", "--mode", "realistic", "--g", "0", "--gamma", "0"],
      "error: toffoli needs --control2\n"),
     (["simulate", "cnot", "--control", "bad", "--target", "R", "--mode", "realistic", "--g=-1", "--gamma", "0"],
-     "error: rates g, kappa_s, gamma must be non-negative\n"),
+     "error: g must be non-negative, got -1.0\n"),
 ])
 def test_simulate_reports_a_rate_then_the_qubits_then_a_singular_cavity(capsys, argv, message):
     # The coefficients are worked out where the gate mode is built, after the
@@ -271,6 +271,22 @@ def test_zero_survival_names_g_and_kappa_s(capsys, tmp_path, argv, message):
         path = tmp_path / "sweep.csv"
         assert run_cli(capsys, *argv, "--out", str(path))[0] == 1
         assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decoherence", "--tau", "0"], "error: tau must be positive, got 0.0\n"),
+    (["decoherence", "--dt", "-1"], "error: dt must be non-negative, got -1.0\n"),
+    (["decoherence", "--t2", "-0.0"], "error: t2 must be positive, got -0.0\n"),
+    (["sweep", "--t2e", "0", "--g-steps", "2", "--ks-steps", "2"], "error: t2e must be positive, got 0.0\n"),
+    (["sweep", "--gamma", "-1", "--g-steps", "2", "--ks-steps", "2"], "error: gamma must be non-negative, got -1.0\n"),
+    (["coeffs", "--kappa-s", "-1"], "error: kappa_s must be non-negative, got -1.0\n"),
+    (["coeffs", "--g", "-2", "--gamma", "-1"], "error: g must be non-negative, got -2.0\n"),
+    (["simulate", "cnot", "--control", "+", "--target", "R", "--mode", "realistic", "--gamma", "-0.5"],
+     "error: gamma must be non-negative, got -0.5\n"),
+])
+def test_an_out_of_range_rate_or_time_scale_is_named(capsys, argv, message):
+    # Exit 1 with one line naming the first bad field and its value, nothing on stdout.
+    assert run_cli(capsys, *argv) == (1, "", message)
 
 
 class TestDashLedNumbers:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import math
 import os
 import re
@@ -140,6 +141,38 @@ def drawn_points(self):
     return real_points(self)
 
 
+#: The flags and dests of every parser, and the field names that messages use beyond them.
+NAMES = {
+    name
+    for parser in (PARSER, *PARSER.commands.values())
+    for action in parser._actions
+    for name in (action.dest, *action.option_strings)
+} | {"g_over_kappa", "kappa_s_over_kappa", "gamma_over_kappa", "kappa", "qubit"}
+
+
+def names_its_cause(message: str, argv: list[str]) -> bool:
+    """Whether an exit-1 ``message`` names a flag or field, or quotes or repeats a token of ``argv``."""
+    words = set(re.findall(r"[\w.-]+", message)) | {word.strip(",:") for word in message.split()}
+    tokens = {part for token in argv for part in (token, *token.split("=", 1)) if part}
+    return bool(NAMES & words) or any(repr(token) in message or token in words for token in tokens)
+
+
+def corners(test):
+    """The box corners as examples: g = 0 with kappa_s at 0, 2 and 100 and gamma at
+    0 and 3, on a realistic simulate (the Toffoli, whose survival can vanish) and on
+    a sweep with every column, whose grid has the corner as a point."""
+    for kappa_s, gamma in itertools.product(("0", "2", "100"), ("0", "3")):
+        ks_min = "0" if kappa_s == "100" else kappa_s
+        for argv in (
+            ["simulate", "toffoli", "--control", "+", "--control2", "+", "--target", "+", "--mode", "realistic",
+             "--g", "0", "--kappa-s", kappa_s, "--gamma", gamma],
+            ["sweep", "--g-min", "0", "--g-max", "1", "--g-steps", "2", "--ks-min", ks_min, "--ks-max", "100",
+             "--ks-steps", "2", "--gamma", gamma, "--outputs", ",".join(cli.ALL_OUTPUTS)],
+        ):
+            test = example(argv=argv)(test)
+    return test
+
+
 def exit_of(argv: list[str]):
     try:
         return cli.main(argv)
@@ -154,6 +187,9 @@ def exit_of(argv: list[str]):
 @example(argv=["simulate", "toffoli", "--control", "+", "--control2", "+", "--target", "+", "--mode", "realistic",
                "--g", "0", "--kappa-s", "2"])
 @example(argv=["coeffs", "--g", "1e200"])
+@example(argv=["coeffs", "--gamma", "1e308", "--delta-c", "3.5"])  # |dipole x cavity| overflows
+@example(argv=["coeffs", "--gamma", "1", "--delta-c", "1e308", "--delta-x", "1.7e308"])  # was nan at exit 0
+@corners
 def test_every_argv_ends_in_one_clear_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
@@ -173,6 +209,8 @@ def test_every_argv_ends_in_one_clear_exit(argv):
     assert code in (0, 1, 2)
     if code:
         assert re.fullmatch(r"(error|invariant violation): [^\n]+\n", err.getvalue()), err.getvalue()
+    if code == 1:
+        assert names_its_cause(err.getvalue(), argv), (argv, err.getvalue())
     else:
         assert err.getvalue() == ""
         assert not NON_FINITE.search(out.getvalue() + written)

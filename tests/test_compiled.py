@@ -36,13 +36,12 @@ from spincavity.circuits import (
     _GENERIC_POINTS,
     _GENERIC_QUBITS,
     _compile,
-    _run,
     _stack,
     gate_figures,
     stacked_figures,
 )
 from spincavity.hilbert import DegenerateStateError, StateError, StructureError
-from conftest import dict_efficiency, dict_fidelity, dict_figures
+from conftest import dict_efficiency, dict_fidelity, dict_figures, interpreted
 
 TOL = 1e-12
 ARITY = {Gate.CNOT: 2, Gate.TOFFOLI: 3}
@@ -176,7 +175,7 @@ def test_second_sweep_reuses_the_compilation():
 @given(gate_inputs, st.lists(mixed_coeffs, min_size=1, max_size=40))
 def test_batches_match_the_dict_engine_point_by_point(gate_and_inputs, coeffs_seq):
     gate, inputs = gate_and_inputs
-    ideal = _run(gate, inputs, GateMode.ideal())
+    ideal = interpreted(gate, inputs, GateMode.ideal())
     try:
         want = [dict_figures(gate, inputs, GateMode(c), ideal) for c in coeffs_seq]
     except DegenerateStateError:

@@ -8,6 +8,7 @@ independent route from the float path in the package.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,19 @@ class TestSpinDecoherence:
     def test_non_finite_time_scales_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             DecoherenceParams(**{name: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"t2e": 0.0}, "t2e must be positive, got 0.0"),
+        ({"dt": -1.0}, "dt must be non-negative, got -1.0"),
+        ({"tau": -0.0}, "tau must be positive, got -0.0"),
+        ({"t2": -3.0}, "t2 must be positive, got -3.0"),
+        # The first bad field, in field order, is named.
+        ({"t2e": 0.0, "dt": -1.0, "tau": 0.0}, "t2e must be positive, got 0.0"),
+        ({"dt": -1.0, "tau": 0.0}, "dt must be non-negative, got -1.0"),
+    ])
+    def test_out_of_range_time_scale_is_named(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DecoherenceParams(**fields)
 
     def test_no_interval(self):
         assert spin_decoherence_factor(DecoherenceParams(dt=0.0)) == 1.0
