@@ -51,7 +51,6 @@ from .hilbert import (
     StateVector,
     StructureError,
     apply_sited_map,
-    inner_product,
     measure_spin,
 )
 from .metrics import (

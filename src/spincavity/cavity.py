@@ -65,9 +65,10 @@ class CavityParams:
     delta_x: float = 0.0
 
     def __post_init__(self) -> None:
-        # Every sweep point builds a CavityParams, so one test on the sum comes
-        # first: any NaN or infinite field makes it non-finite. Fields are
-        # checked one by one only then (a sum that merely overflows passes).
+        # Every `simulate` command builds a CavityParams, in either mode, and
+        # `run_sweep` one per sweep, so one test on the sum comes first: any NaN
+        # or infinite field makes it non-finite. Fields are checked one by one
+        # only then (a sum that merely overflows passes).
         if not math.isfinite(
             self.g + self.kappa_s + self.gamma + self.kappa + self.delta_c + self.delta_x
         ):
@@ -216,7 +217,16 @@ _ALL_KEYS: tuple[ScatterKey, ...] = tuple(
     for spin in SpinBasis
 )
 
-#: Which of (|t|, |r|, -|t0|, -|r0|) each slot of a realistic table carries,
+
+def table_values(magnitudes: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """The values a realistic table carries, (|t|, |r|, -|t0|, -|r0|), from
+    (|t|, |r|, |t0|, |r0|): the coupled cavity reflects and transmits as it is,
+    the uncoupled one with a sign flip."""
+    at, ar, at0, ar0 = magnitudes
+    return at, ar, -at0, -ar0
+
+
+#: Which of the :func:`table_values` each slot of a realistic table carries,
 #: slots numbered key by key: a coupled key reflects |r| and transmits |t|,
 #: an uncoupled one transmits -|t0| and reflects -|r0|.
 REALISTIC_PARTS: tuple[int, ...] = tuple(
@@ -239,7 +249,9 @@ _REALISTIC_ROUTES = _routes(REALISTIC_PARTS)
 _realistic_amplitudes = operator.itemgetter(*REALISTIC_PARTS)
 #: The realistic table at the ideal (|t|, |r|, |t0|, |r0|) = (0, 1, 1, 0), less each
 #: key's second term, which is zero there.
-_IDEAL_TABLE = ScatterTable(_routes(REALISTIC_PARTS[::2]), _realistic_amplitudes((0.0, 1.0, -1.0, -0.0))[::2])
+_IDEAL_TABLE = ScatterTable(
+    _routes(REALISTIC_PARTS[::2]), _realistic_amplitudes(table_values((0.0, 1.0, 1.0, 0.0)))[::2]
+)
 
 
 def ideal_scatter() -> ScatterTable:
@@ -265,10 +277,10 @@ def realistic_scatter(coeffs: ScatterCoeffs) -> ScatterTable:
 
     Coupled combinations split into a reflected part weighted |r| and a
     transmitted part weighted |t|; uncoupled ones into -|t0| transmitted and
-    -|r0| reflected (see :data:`REALISTIC_PARTS`). With the ideal coefficient
+    -|r0| reflected (see :func:`table_values`). With the ideal coefficient
     set this reduces exactly to :func:`ideal_scatter`, up to terms of zero
     amplitude; otherwise the map contracts the norm, the deficit being the
     photon lost to side leakage.
     """
-    at, ar, at0, ar0 = checked_magnitudes(coeffs.magnitudes)
-    return ScatterTable(_REALISTIC_ROUTES, _realistic_amplitudes((at, ar, -at0, -ar0)))
+    values = table_values(checked_magnitudes(coeffs.magnitudes))
+    return ScatterTable(_REALISTIC_ROUTES, _realistic_amplitudes(values))

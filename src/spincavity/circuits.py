@@ -58,6 +58,7 @@ from .cavity import (
     coefficients,
     ideal_scatter,
     realistic_scatter,
+    table_values,
 )
 from .elements import (
     SINK,
@@ -86,7 +87,6 @@ from .hilbert import (
     StateVector,
     StructureError,
     apply_sited_map,
-    inner_product,
     measure_spin,
     recording,
 )
@@ -868,11 +868,11 @@ FIDELITY_CONVENTIONS = ("per-branch-averaged", "pre-measurement")
 # -- compiled evaluation ------------------------------------------------------
 #
 # The circuit is linear and only the cavity passes depend on the parameters:
-# a pass is 1*B + |t|*A_t + |r|*A_r + |t0|*A_t0 + |r0|*A_r0 on a basis of at
-# most a few dozen kets. After k passes every amplitude is therefore a
-# polynomial of degree at most k in the four magnitudes. Each gate is
-# compiled once per input into the coefficients of those polynomials, read
-# from the path the replay recorder builds of a generic run; a batch of
+# a pass's edges carry the realistic table's values (|t|, |r|, -|t0|, -|r0|),
+# every other edge a constant. After k passes every amplitude is therefore a
+# polynomial of degree at most k in those four values. Each gate is compiled
+# once per input into the coefficients of those polynomials, walking the path
+# the replay recorder builds of a generic run as the replay sums it; a batch of
 # parameter points then costs one table of powers and one matrix product.
 
 #: Magnitude sets (|t|, |r|, |t0|, |r0|) at which gates are compiled. |t| + |r|
@@ -893,15 +893,19 @@ _GENERIC_POINTS = (
 _GENERIC_QUBITS = (QubitState(0.6, 0.8), QubitState(0.8, 0.6), QubitState(0.28, 0.96))
 
 
+#: The sign of each table value, as a column that scales the rows of a magnitude array.
+_TABLE_SIGNS = np.array(table_values((1.0, 1.0, 1.0, 1.0)))[:, None]
+
+
 class _Monomials(NamedTuple):
-    """Every monomial in (|t|, |r|, |t0|, |r0|) up to a degree.
+    """Every monomial in the table values (|t|, |r|, -|t0|, -|r0|) up to a degree.
 
     The monomials run by degree, each degree's in one fixed order, so those
     of a lower degree are a prefix of these. ``powers[v, m]`` is the row
-    holding magnitude ``v`` to its power in monomial ``m``, in a table of
+    holding value ``v`` to its power in monomial ``m``, in a table of
     powers laid out exponent-major, so one ``take`` and a product over the
-    magnitudes give every monomial. ``shifts[v]`` maps each monomial below
-    the top degree to its product with magnitude ``v``.
+    values give every monomial. ``shifts[v]`` maps each monomial below
+    the top degree to its product with value ``v``.
     """
 
     degree: int
@@ -928,29 +932,37 @@ def _monomials(degree: int) -> _Monomials:
     return _Monomials(degree, powers, shifts)
 
 
-def _propagate(initial: np.ndarray, passes, tail: np.ndarray | None, monomials: _Monomials):
-    """Polynomial coefficients of the state after every pass, then after the tail.
-
-    A state is a matrix with one row per ket and one column per monomial;
-    a pass's part for magnitude ``v`` multiplies by that magnitude, which
-    moves each column to the column of its product with it.
-    """
-    state = np.zeros((len(initial), monomials.powers.shape[1]), dtype=initial.dtype)
-    state[:, 0] = initial
-    states = []
-    for parts in passes:
-        new = parts[0] @ state
-        images = (parts[1:].reshape(-1, parts.shape[2]) @ state).reshape(4, parts.shape[1], -1)
-        for image, (lower, raised) in zip(images, monomials.shifts):
-            new[:, raised] += image[:, lower]
-        states.append(new)
+def _propagate(path: _Path, steps, state: np.ndarray, monomials: _Monomials):
+    """Polynomial coefficients of the state after each cavity pass among ``steps``, kets
+    outside ``kept`` dropped, and after the last step. A state has one row per ket, as
+    the step that made it numbers its outputs, and one column per monomial. Edges add up
+    in recorded order, as the replay sums: a constant edge adds its source's row times
+    the constant, a slot edge times its slot's table value, which moves each column to
+    the column of its product with that value."""
+    passes = []
+    for step in steps:
+        new = np.zeros((step.outputs, state.shape[1]), dtype=state.dtype)
+        for source, out, index in step.edges:
+            if index < path.slots:
+                lower, raised = monomials.shifts[REALISTIC_PARTS[index]]
+                new[out, raised] += state[source, lower]
+            else:
+                new[out] += path.constants[index - path.slots] * state[source]
         state = new
-    states.append(state if tail is None else tail @ state)
-    return states
+        if any(index < path.slots for _, _, index in step.edges):
+            passes.append(state if step.kept is None else state[list(step.kept)])
+    return passes, state
+
+
+def _overlap(reference: StateVector, kets: Iterable[BasisKet], rows: np.ndarray) -> np.ndarray:
+    """The overlap of ``reference`` with the state whose ``kets`` have the coefficient
+    ``rows``, added ket by ket in order."""
+    weights = _dense(reference, {ket: j for j, ket in enumerate(kets)}).conj()
+    return sum((weight * row for weight, row in zip(weights, rows)), np.zeros(rows.shape[1]))
 
 
 class _CompiledGate(NamedTuple):
-    """Gates on fixed inputs as polynomials in the four magnitudes.
+    """Gates on fixed inputs as polynomials in the four table values.
 
     Row ``i`` of ``coeffs`` holds the coefficients of one amplitude over
     ``monomials``. A gate's amplitudes are every pass's state in turn, then
@@ -971,7 +983,7 @@ class _CompiledGate(NamedTuple):
         """Every row's value at each column of ``magnitudes``, shape (4, points)."""
         table = np.empty((self.monomials.degree + 1, *magnitudes.shape))
         table[0] = 1.0
-        table[1:] = magnitudes
+        np.multiply(magnitudes, _TABLE_SIGNS, out=table[1:])  # the table values
         np.multiply.accumulate(table, axis=0, out=table)
         terms = table.reshape(-1, magnitudes.shape[1]).take(self.monomials.powers, axis=0)
         return self.coeffs @ terms.prod(axis=0)
@@ -1007,17 +1019,6 @@ def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
     return vector if vector.imag.any() else vector.real
 
 
-def _readout_row(
-    kets: Sequence[BasisKet], outcome: SpinBasis, rule, reference: StateVector
-) -> np.ndarray:
-    row = np.zeros(len(kets), dtype=complex)
-    for column, ket in enumerate(kets):
-        if ket.spin is outcome:
-            post = feed_forward(StateVector({ket.with_spin(None): 1.0}), outcome, rule)
-            row[column] = inner_product(post, reference).conjugate()
-    return row
-
-
 def _fold(coeffs: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep the first of each group of rows that are equal or negated. Their squared
     moduli are equal at every point, so a group's columns of ``totals`` add up."""
@@ -1044,56 +1045,37 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     generic_inputs = tuple(
         generic if q.alpha and q.beta else q for q, generic in zip(inputs, _GENERIC_QUBITS)
     )
-    tables = [realistic_scatter(c) for c in _GENERIC_POINTS]
-    runs = [_interpret(program, generic_inputs, table, []) for table in tables]
+    runs = [_interpret(program, generic_inputs, realistic_scatter(c), []) for c in _GENERIC_POINTS]
     _, pre, path = runs[0]
     if path is None or any(other != path for _, _, other in runs):
         raise StructureError(f"the generic runs of the {program.name} record different paths")
+    monomials = _monomials(sum(any(i < path.slots for _, _, i in step.edges) for step in path.steps))
     product = {ket: j for j, ket in enumerate(_product_kets(program.in_modes, program.spin))}
-    initial, generic_initial = (_dense(_input_state(program, q), product) for q in (inputs, generic_inputs))
-    passes: list[np.ndarray] = []
-    fold = None  # fixed elements since the last pass
-    signs = [math.copysign(1.0, amplitude) for amplitude in tables[0].amplitudes]
-    column = {j: j for j in product.values()}  # each source's column: the kets the step before kept
-    for step in path.steps:
-        row = {out: i for i, out in enumerate(range(step.outputs) if step.kept is None else step.kept)}
-        # A fixed element or a pass's bypass, then a pass's part per magnitude, signed as its table slot.
-        parts = np.zeros((5, len(row), len(column)))
-        for source, out, index in step.edges:
-            if out in row:  # else a ket the generic runs cancel
-                slot = index < path.slots
-                value = signs[index] if slot else path.constants[index - path.slots]
-                parts[1 + REALISTIC_PARTS[index] if slot else 0, row[out], column[source]] = value
-        cavity = any(index < path.slots for _, _, index in step.edges)
-        matrix = parts if cavity else parts[0]
-        fold = matrix if fold is None else matrix @ fold
-        if cavity:  # a cavity pass closes the fold of the fixed elements before it
-            passes.append(fold)
-            fold = None
-        column = row
-    kets = tuple(pre._amps)  # in the order of the last step's rows
-    index = {ket: i for i, ket in enumerate(kets)}
-
-    monomials = _monomials(len(passes))
-    reference = ideal_result.branches[0].state
-    overlaps = np.array([
-        *(_readout_row(kets, o, program.feed_forward, reference) for o in SpinBasis),
-        _dense(ideal_pre, index).conj(),
-    ])
-    states = _propagate(initial, passes, fold, monomials)
-    coeffs = np.concatenate([*states, (overlaps if overlaps.imag.any() else overlaps.real) @ states[-1]])
+    initial, generic_initial = (  # the input amplitudes, as polynomials of degree 0
+        np.pad(_dense(_input_state(program, q), product)[:, None], ((0, 0), (0, len(monomials.powers[0]) - 1)))
+        for q in (inputs, generic_inputs)
+    )
+    passes, state = _propagate(path, path.steps, initial, monomials)
+    rows = sorted(j for _, picks, _ in path.readout for j in picks)  # the pre-readout kets
+    kets = tuple(pre._amps)  # in the order of ``rows``
+    reference, overlaps = ideal_result.branches[0].state, []
+    for _, picks, (feed, outputs) in path.readout:  # the generic runs reach both outcomes
+        output = _propagate(path, feed, state[list(picks)], monomials)[1]
+        overlaps.append(_overlap(reference, outputs, output))  # the branch's output with the ideal one
+    coeffs = np.concatenate([*passes, state[rows], overlaps, [_overlap(ideal_pre, kets, state[rows])]])
     totals = np.zeros((len(passes) + 5, len(coeffs)))
     start = 0
-    for row, pass_state in enumerate(states[:-1]):
-        totals[row, start:start + len(pass_state)] = 1.0
-        start += len(pass_state)
-    totals[-5:-3, start:start + len(kets)] = [[ket.spin is o for ket in kets] for o in SpinBasis]
+    for row, block in enumerate(passes):
+        totals[row, start:start + len(block)] = 1.0
+        start += len(block)
+    for row, (_, picks, _) in enumerate(path.readout, len(passes)):  # each outcome's weight
+        totals[row, start + np.searchsorted(rows, picks)] = 1.0
     totals[-3:, -3:] = np.eye(3)
     coeffs, totals = _fold(coeffs, totals)
     compiled = _CompiledGate(coeffs, monomials, totals, blocks=(len(totals),))
-    del states
-    check = compiled._replace(coeffs=_propagate(generic_initial, passes, fold, monomials)[-1])
+    check = compiled._replace(coeffs=_propagate(path, path.steps, generic_initial, monomials)[1][rows])
     pre_readout = check.amplitudes(np.array([c.magnitudes for c in _GENERIC_POINTS]).T)
+    index = {ket: i for i, ket in enumerate(kets)}
     for column, (_, final, _) in enumerate(runs):
         error = np.abs(pre_readout[:, column] - _dense(final, index))
         if error.max() > 1e-12:

@@ -299,16 +299,16 @@ def cmd_coeffs(args, out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
-    # Faults are reported in this order: a rate, a missing or bad qubit, then a
-    # singular cavity, which only working out the coefficients finds.
-    params = None if args.mode == "ideal" else CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma)
+    # Faults are reported in this order: a rate (in either mode), a missing or bad
+    # qubit, then a singular cavity, which only working out the coefficients finds.
+    params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma)
     if args.gate == "cnot":
         qubits = parse_qubit(args.control), parse_qubit(args.target)
     else:
         if args.control2 is None:
             raise ConfigError("toffoli needs --control2")
         qubits = parse_qubit(args.control), parse_qubit(args.control2), parse_qubit(args.target)
-    mode = GateMode.ideal() if params is None else GateMode.realistic(params)
+    mode = GateMode.ideal() if args.mode == "ideal" else GateMode.realistic(params)
     result = (cnot if args.gate == "cnot" else toffoli)(*qubits, mode)
     lines = [f"gate {args.gate}", f"mode {args.mode}"]
     if args.trace:

@@ -253,18 +253,6 @@ def _squared_norm(amplitudes: Iterable[complex]) -> float:
     return total
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """⟨a|b⟩, conjugate-linear in the first argument."""
-    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
-        raise StructureError("inner product requires identical subsystem structure")
-    total = 0j
-    for ket, amp in a.items():
-        other = b.amplitude(ket)
-        if other:
-            total += amp.conjugate() * other
-    return total
-
-
 @dataclass(frozen=True)
 class PhotonSite:
     """Select one photon; maps act on its :class:`PhotonLabel`."""

@@ -22,7 +22,7 @@ from spincavity.hilbert import (
     Propagation,
     SpinBasis,
     StateVector,
-    inner_product,
+    StructureError,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,6 +63,18 @@ def normalized(state: StateVector) -> StateVector:
         raise DegenerateStateError("cannot normalize a zero state")
     amps = {k: v / n for k, v in state._amps.items()}
     return StateVector(amps, photon_count=state.photon_count, has_spin=state.has_spin)
+
+
+def inner_product(a: StateVector, b: StateVector) -> complex:
+    """⟨a|b⟩, conjugate-linear in the first argument."""
+    if a.photon_count != b.photon_count or a.has_spin != b.has_spin:
+        raise StructureError("inner product requires identical subsystem structure")
+    total = 0j
+    for ket, amp in a.items():
+        other = b.amplitude(ket)
+        if other:
+            total += amp.conjugate() * other
+    return total
 
 
 def fidelity(realistic: StateVector, ideal: StateVector, normalize: bool = False) -> float:

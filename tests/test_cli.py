@@ -289,6 +289,21 @@ def test_an_out_of_range_rate_or_time_scale_is_named(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--g", "nan"], "error: g must be finite, got nan\n"),
+    (["--kappa-s", "-1"], "error: kappa_s must be non-negative, got -1.0\n"),
+    (["--g", "0", "--gamma", "0"], None),
+])
+def test_ideal_simulate_checks_its_cavity_flags(capsys, flags, message):
+    # An ideal run uses no rate, yet a bad one is refused as in realistic mode.
+    # A singular cavity still runs: ideal mode works out no coefficients.
+    argv = ["simulate", "cnot", "--control", "R", "--target", "R", "--mode", "ideal", *flags]
+    if message is not None:
+        assert run_cli(capsys, *argv) == (1, "", message)
+        return
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv[:-len(flags)])
+
+
 class TestDashLedNumbers:
     """``--flag -1e3`` reads as ``--flag=-1e3`` wherever the flag takes a number."""
 

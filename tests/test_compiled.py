@@ -15,8 +15,13 @@ import contextlib
 import functools
 import itertools
 import math
+import os
+import platform
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -470,3 +475,50 @@ def test_folding_keeps_the_totals_of_the_sweep_inputs():
 @given(gate_inputs)
 def test_folding_keeps_the_totals_of_any_inputs(gate_and_inputs):
     assert_folding_keeps_the_totals(*gate_and_inputs)
+
+
+#: Hashes ``_compile``'s ``coeffs`` and ``totals`` for the sweep inputs and two
+#: complex-amplitude inputs, in a process of its own.
+COMPILED_HASH = """
+import hashlib
+from spincavity.circuits import QUBIT_PLUS, QUBIT_R, Gate, QubitState, _compile
+digest = hashlib.sha256()
+for gate, inputs in (
+    (Gate.CNOT, (QUBIT_PLUS,) * 2),
+    (Gate.TOFFOLI, (QUBIT_PLUS,) * 3),
+    (Gate.CNOT, (QubitState(0.6, 0.8j), QubitState(0.8, -0.6j))),
+    (Gate.TOFFOLI, (QubitState(0.28j, 0.96), QUBIT_R, QubitState(0.6, -0.8j))),
+):
+    compiled = _compile(gate, inputs)
+    digest.update(compiled.coeffs.tobytes() + compiled.totals.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def kernel_skip_reason() -> str | None:
+    """Why ``OPENBLAS_CORETYPE`` cannot pick numpy's BLAS kernel here, or None."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return f"the forced kernels are x86_64 ones, and this host is {platform.machine()}"
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS (numpy reports {blas or 'no BLAS build'})"
+    return None
+
+
+@pytest.mark.skipif(kernel_skip_reason() is not None, reason=str(kernel_skip_reason()))
+def test_compiled_matrices_do_not_depend_on_the_blas_kernel():
+    # The compile walks the recorded path with element-wise sums only, so its
+    # matrices are a function of the program. Each kernel is forced in a child
+    # process only; Haswell needs AVX2.
+    kernels = [None, "Prescott"]
+    if "avx2" in Path("/proc/cpuinfo").read_text(encoding="utf-8").split():
+        kernels.append("Haswell")
+    hashes = {}
+    for kernel in kernels:
+        env = {**os.environ, "PYTHONPATH": str(Path(circuits.__file__).parents[1])}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        run = subprocess.run([sys.executable, "-c", COMPILED_HASH], env=env, capture_output=True, text=True, check=True)
+        hashes[kernel or "default"] = run.stdout.strip()
+    assert len(set(hashes.values())) == 1, hashes

@@ -24,7 +24,6 @@ from spincavity.hilbert import (
     StructureError,
     _layout,
     apply_sited_map,
-    inner_product,
     measure_spin,
     serialize,
 )
@@ -34,6 +33,7 @@ from conftest import (
     equal_up_to_global_phase,
     fidelity,
     from_ket,
+    inner_product,
     lincomb,
     norm,
     random_state,
