@@ -50,7 +50,7 @@ def require_finite(params) -> None:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical rates and detunings, all in units of the cavity decay rate.
+    """Physical rates and detunings, all in units of the cavity decay rate kappa.
 
     ``g`` is the dipole-cavity coupling, ``kappa_s`` the side leakage into
     unmonitored modes, ``gamma`` the trion dipole decay, ``delta_c`` and
@@ -60,7 +60,6 @@ class CavityParams:
     g: float
     kappa_s: float = 0.0
     gamma: float = DEFAULT_GAMMA
-    kappa: float = 1.0
     delta_c: float = 0.0
     delta_x: float = 0.0
 
@@ -69,15 +68,11 @@ class CavityParams:
         # `run_sweep` one per sweep, so one test on the sum comes first: any NaN
         # or infinite field makes it non-finite. Fields are checked one by one
         # only then (a sum that merely overflows passes).
-        if not math.isfinite(
-            self.g + self.kappa_s + self.gamma + self.kappa + self.delta_c + self.delta_x
-        ):
+        if not math.isfinite(self.g + self.kappa_s + self.gamma + self.delta_c + self.delta_x):
             require_finite(self)
         for name, rate in (("g", self.g), ("kappa_s", self.kappa_s), ("gamma", self.gamma)):
             if rate < 0:
                 raise ValueError(f"{name} must be non-negative, got {rate}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 class ScatterCoeffs(NamedTuple):
@@ -108,10 +103,10 @@ class ScatterCoeffs(NamedTuple):
 def coefficients(params: CavityParams) -> ScatterCoeffs:
     """Steady-state transmission and reflection of the hot and cold cavity.
 
-    The hot transmission is
+    The hot transmission is, with every rate in units of kappa,
 
-        t = -kappa * (i*delta_x + gamma/2)
-            / [ (i*delta_x + gamma/2) * (i*delta_c + kappa + kappa_s/2) + g^2 ]
+        t = -(i*delta_x + gamma/2)
+            / [ (i*delta_x + gamma/2) * (i*delta_c + 1 + kappa_s/2) + g^2 ]
 
     with r = 1 + t. The cold pair is the same expression at g = 0, where the
     dipole factor cancels, so it is evaluated in the canceled form to stay
@@ -120,14 +115,16 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
     if params.delta_c == 0.0 and params.delta_x == 0.0:
         # Real arithmetic: complex division would cost a few ulps that the
         # closed-form polynomials downstream then amplify.
-        dipole, cavity_term = params.gamma / 2.0, params.kappa + params.kappa_s / 2.0
+        dipole, cavity_term = params.gamma / 2.0, 1.0 + params.kappa_s / 2.0
     else:
         dipole = 1j * params.delta_x + params.gamma / 2.0
-        cavity_term = 1j * params.delta_c + params.kappa + params.kappa_s / 2.0
+        cavity_term = 1j * params.delta_c + 1.0 + params.kappa_s / 2.0
     g_squared = _squared(params.g)
     try:  # rates near the float range can overflow a product or a modulus
-        dipole_ct, t0 = _cold_terms(params.kappa, dipole, cavity_term)
-        t = _hot_transmission(-params.kappa * dipole, dipole_ct, g_squared)
+        dipole_ct, t0 = _cold_terms(dipole, cavity_term)
+        # Not -dipole: for a complex dipole with a zero part, negation and a
+        # product with -1.0 can give zeros of different sign.
+        t = _hot_transmission(-1.0 * dipole, dipole_ct, g_squared)
         finite = cmath.isfinite(t) and cmath.isfinite(t0)
     except OverflowError:
         finite = False
@@ -138,7 +135,7 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
 
 
 def resonant_magnitudes(
-    gs: Iterable[float], kappa_s_values: Iterable[float], gamma: float, kappa: float
+    gs: Iterable[float], kappa_s_values: Iterable[float], gamma: float
 ) -> Iterator[tuple[float, float, float, float]]:
     """(|t|, |r|, |t0|, |r0|) of :func:`coefficients` at zero detuning, at each
     point of ``gs`` x ``kappa_s_values``, row-major, as the same doubles.
@@ -150,13 +147,13 @@ def resonant_magnitudes(
     dipole = gamma / 2.0
     columns = []
     for kappa_s in kappa_s_values:
-        dipole_ct, t0 = _cold_terms(kappa, dipole, kappa + kappa_s / 2.0)
+        dipole_ct, t0 = _cold_terms(dipole, 1.0 + kappa_s / 2.0)
         columns.append((dipole_ct, abs(t0), abs(1.0 + t0)))
-    minus_kappa_dipole = -kappa * dipole
+    minus_dipole = -1.0 * dipole
     for g in gs:
         g_squared = _squared(g)
         for dipole_ct, at0, ar0 in columns:
-            t = _hot_transmission(minus_kappa_dipole, dipole_ct, g_squared)
+            t = _hot_transmission(minus_dipole, dipole_ct, g_squared)
             yield abs(t), abs(1.0 + t), at0, ar0
 
 
@@ -167,22 +164,22 @@ def _squared(g):
         raise ValueError(f"g = {g} is too large: g ** 2 overflows") from None
 
 
-def _cold_terms(kappa, dipole, cavity_term):
+def _cold_terms(dipole, cavity_term):
     """(dipole * cavity_term, t0): the terms that do not depend on g."""
     if abs(cavity_term) < _SINGULAR_EPS:
         raise SingularParameterError(
             f"cold-cavity denominator magnitude {abs(cavity_term)} below {_SINGULAR_EPS}"
         )
-    return dipole * cavity_term, -kappa / cavity_term
+    return dipole * cavity_term, -1.0 / cavity_term
 
 
-def _hot_transmission(minus_kappa_dipole, dipole_ct, g_squared):
+def _hot_transmission(minus_dipole, dipole_ct, g_squared):
     denominator = dipole_ct + g_squared
     if abs(denominator) < _SINGULAR_EPS:
         raise SingularParameterError(
             f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
         )
-    return minus_kappa_dipole / denominator
+    return minus_dipole / denominator
 
 
 def _couples(polarization: Polarization, propagation: Propagation, spin: SpinBasis) -> bool:

@@ -51,7 +51,6 @@ import numpy as np
 from .cavity import (
     REALISTIC_PARTS,
     CavityParams,
-    InvalidCoefficientError,
     ScatterCoeffs,
     ScatterTable,
     checked_magnitudes,
@@ -893,10 +892,6 @@ _GENERIC_POINTS = (
 _GENERIC_QUBITS = (QubitState(0.6, 0.8), QubitState(0.8, 0.6), QubitState(0.28, 0.96))
 
 
-#: The sign of each table value, as a column that scales the rows of a magnitude array.
-_TABLE_SIGNS = np.array(table_values((1.0, 1.0, 1.0, 1.0)))[:, None]
-
-
 class _Monomials(NamedTuple):
     """Every monomial in the table values (|t|, |r|, -|t0|, -|r0|) up to a degree.
 
@@ -979,18 +974,20 @@ class _CompiledGate(NamedTuple):
     totals: np.ndarray
     blocks: tuple[int, ...]
 
-    def amplitudes(self, magnitudes: np.ndarray) -> np.ndarray:
-        """Every row's value at each column of ``magnitudes``, shape (4, points)."""
-        table = np.empty((self.monomials.degree + 1, *magnitudes.shape))
+    def amplitudes(self, values: np.ndarray) -> np.ndarray:
+        """Every row's value at each column of table ``values``, shape (4, points)."""
+        table = np.empty((self.monomials.degree + 1, *values.shape))
         table[0] = 1.0
-        np.multiply(magnitudes, _TABLE_SIGNS, out=table[1:])  # the table values
+        table[1:] = values
         np.multiply.accumulate(table, axis=0, out=table)
-        terms = table.reshape(-1, magnitudes.shape[1]).take(self.monomials.powers, axis=0)
+        terms = table.reshape(len(table) * len(values), -1).take(self.monomials.powers, axis=0)
         return self.coeffs @ terms.prod(axis=0)
 
-    def figures(self, magnitudes: np.ndarray):
-        """Each gate's figures in turn at each ``magnitudes`` column, failing at its first bad one."""
-        totals = (self.totals @ (np.abs(self.amplitudes(magnitudes)) ** 2)).T.tolist()
+    def figures(self, values: np.ndarray) -> list[list[SimulatedFigures]]:
+        """Each gate's figures at each column of table ``values``, failing at
+        the first gate's first bad column."""
+        totals = (self.totals @ (np.abs(self.amplitudes(values)) ** 2)).T.tolist()
+        per_gate = []
         for start, stop in itertools.pairwise(itertools.accumulate(self.blocks, initial=0)):
             figures = []
             for point in totals:
@@ -1005,7 +1002,8 @@ class _CompiledGate(NamedTuple):
                     down if down_weight > MIN_BRANCH_WEIGHT else 0.0
                 )
                 figures.append(SimulatedFigures(per_branch / survival, pre / survival, survival))
-            yield figures
+            per_gate.append(figures)
+        return per_gate
 
 
 def _dense(state: StateVector, index: dict[BasisKet, int]) -> np.ndarray:
@@ -1030,7 +1028,6 @@ def _fold(coeffs: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return coeffs[kept], totals @ np.eye(len(kept))[group_of]
 
 
-@functools.lru_cache(maxsize=64)
 def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     """Compile ``gate`` on ``inputs`` once, from the path the replay recorder builds.
 
@@ -1074,7 +1071,7 @@ def _compile(gate: Gate, inputs: tuple[QubitState, ...]) -> _CompiledGate:
     coeffs, totals = _fold(coeffs, totals)
     compiled = _CompiledGate(coeffs, monomials, totals, blocks=(len(totals),))
     check = compiled._replace(coeffs=_propagate(path, path.steps, generic_initial, monomials)[1][rows])
-    pre_readout = check.amplitudes(np.array([c.magnitudes for c in _GENERIC_POINTS]).T)
+    pre_readout = check.amplitudes(np.array([table_values(c.magnitudes) for c in _GENERIC_POINTS]).T)
     index = {ket: i for i, ket in enumerate(kets)}
     for column, (_, final, _) in enumerate(runs):
         error = np.abs(pre_readout[:, column] - _dense(final, index))
@@ -1107,8 +1104,9 @@ class SimulatedFigures(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _stack(kinds: tuple[tuple[Gate, tuple[QubitState, ...]], ...]) -> _CompiledGate:
-    """Two or more compiled ``(gate, inputs)`` kinds as one: their rows stacked
-    over the highest degree's monomials, their ``totals`` block-diagonal."""
+    """The ``(gate, inputs)`` kinds compiled as one gate: their rows stacked over
+    the highest degree's monomials, their ``totals`` block-diagonal. One kind
+    keeps its compiled rows and totals bit for bit."""
     parts = [_compile(gate, inputs) for gate, inputs in kinds]
     monomials = max((part.monomials for part in parts), key=lambda m: m.degree)
     width, ends = monomials.powers.shape[1], list(itertools.accumulate(len(p.coeffs) for p in parts))
@@ -1124,30 +1122,18 @@ def stacked_figures(
     magnitudes_seq: Iterable[tuple[float, float, float, float]],
 ) -> list[list[SimulatedFigures]]:
     """:func:`gate_figures` of each ``(gate, inputs)`` kind at each
-    (|t|, |r|, |t0|, |r0|), from one evaluation; no kinds give no lists.
+    (|t|, |r|, |t0|, |r0|), from one evaluation; no kinds give no lists, and
+    leave the points unread.
 
-    Fails as evaluating the kinds one after another would: with the first
-    kind's first failing point, then with invalid magnitudes of a point,
-    then with a later kind's first failing point.
+    Every point's magnitudes are checked first, as :func:`realistic_scatter`
+    checks them, so an invalid point fails the batch before anything is
+    evaluated. Then the kinds fail in turn, each at its first failing point.
     """
     if not kinds:
         return []
-    magnitudes, invalid = [], None
-    for point in magnitudes_seq:
-        try:
-            magnitudes.append(checked_magnitudes(point))
-        except InvalidCoefficientError as exc:
-            invalid = exc
-            break
-    figures = iter([[] for _ in kinds])
-    if magnitudes:
-        keys = tuple((gate, tuple(inputs)) for gate, inputs in kinds)
-        compiled = _compile(*keys[0]) if len(keys) == 1 else _stack(keys)
-        figures = compiled.figures(np.array(magnitudes).T)
-    first = next(figures)
-    if invalid is not None:
-        raise invalid
-    return [first, *figures]
+    values = [table_values(checked_magnitudes(point)) for point in magnitudes_seq]
+    compiled = _stack(tuple((gate, tuple(inputs)) for gate, inputs in kinds))
+    return compiled.figures(np.array(values).reshape(-1, 4).T)
 
 
 def gate_figures(

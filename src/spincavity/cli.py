@@ -172,7 +172,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[tuple[float, float, tuple[float, ...]
     # CavityParams validates the whole grid, with the messages a per-point
     # one would give. Each point then costs only its arithmetic.
     params = CavityParams(g=0.0, gamma=spec.gamma_over_kappa)
-    gamma, kappa = params.gamma, params.kappa
+    gamma = params.gamma
     sim_gates = [column for column in _SIM_COLUMNS if {column[2], column[3]} & set(spec.outputs)]
     # A point's record is its GateFigures fields followed by (fidelity, survival)
     # of each simulated gate; a row picks its values from it in output order.
@@ -185,7 +185,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[tuple[float, float, tuple[float, ...]
     scales = [fidelity_scale if name in FIDELITY_OUTPUTS else 1.0 for name in spec.outputs]
     g_points, kappa_s_points = spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points()
     grid = itertools.product(g_points, kappa_s_points)
-    magnitudes = resonant_magnitudes(g_points, kappa_s_points, gamma, kappa)
+    magnitudes = resonant_magnitudes(g_points, kappa_s_points, gamma)
     # A chunk's closed forms run before its gates. Resonant coefficients fail
     # a gate only by zero survival (the Toffoli at g = 0, kappa_s = 2), which
     # names the grid's first such point.
@@ -303,6 +303,8 @@ def cmd_simulate(args, out: TextIO) -> int:
     # qubit, then a singular cavity, which only working out the coefficients finds.
     params = CavityParams(g=args.g, kappa_s=args.kappa_s, gamma=args.gamma)
     if args.gate == "cnot":
+        if args.control2 is not None:
+            raise ConfigError("cnot takes no --control2")
         qubits = parse_qubit(args.control), parse_qubit(args.target)
     else:
         if args.control2 is None:

@@ -6,7 +6,10 @@ Every entry of ``catalogue.json`` names a file under the repository root, an
 exact source snippet that must occur in it once, the snippet's replacement,
 and the tests (pytest node ids) expected to fail on the mutated code. An entry
 with a ``survives`` reason is a known survivor: equivalent at output, a guard
-only, or a change the tests cannot see, with the reason why.
+only, or a change the tests cannot see, with the reason why. A mutant's tests
+run in the order listed and stop at the first failure, so a killed entry
+names the tests that kill it, a quick deterministic one first: a failing
+hypothesis test spends seconds shrinking its example.
 
 The runner copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a
 temporary directory and never edits the repository. It checks every snippet
@@ -14,10 +17,11 @@ first, runs the named tests once on the unmutated copy, then applies one
 mutant at a time and runs its tests in a subprocess with a timeout, without
 pytest's cache, from a fresh working directory (so a fresh hypothesis
 database) and with a fixed hypothesis seed, so a kill does not rest on a
-lucky draw. It reports each mutant as killed, survived or timed out, and
-exits 1 if a snippet no longer matches, if the unmutated tests fail, if a
-mutant not listed as a survivor is not killed, or if a listed survivor is
-killed (the list must not go stale). Standard library only.
+lucky draw. It reports each mutant as killed, survived or timed out, with
+the seconds its tests took, and exits 1 if a snippet no longer matches, if
+the unmutated tests fail, if a mutant not listed as a survivor is not
+killed, or if a listed survivor is killed (the list must not go stale).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -95,15 +99,18 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 shutil.copy2(source, copy / name)
         tests = sorted({test for entry in entries for test in entry["tests"]})
+        started = time.monotonic()
         baseline = run_tests(copy, tests, args.timeout)
         if baseline != "passed":
             print(f"unmutated code: the named tests {baseline}")
             return 1
+        print(f"{'passed':10} {time.monotonic() - started:5.1f} s  unmutated code", flush=True)
         failures = 0
         for entry in entries:
             path = copy / entry["file"]
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(entry["find"], entry["replace"]), encoding="utf-8")
+            started = time.monotonic()
             try:
                 outcome = run_tests(copy, entry["tests"], args.timeout)
             finally:
@@ -112,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             expected = "survived" if entry.get("survives") else "killed"
             note = "" if status == expected else "  <- expected " + expected
             failures += bool(note)
-            print(f"{status:10} {entry['id']}{note}", flush=True)
+            print(f"{status:10} {time.monotonic() - started:5.1f} s  {entry['id']}{note}", flush=True)
     print(f"{len(entries)} mutants, {failures} unexpected, {time.monotonic() - start:.0f} s")
     return 1 if failures else 0
 

@@ -114,17 +114,19 @@ class TestCoefficients:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CavityParams(g=-1.0)
-        with pytest.raises(ValueError):
-            CavityParams(g=1.0, kappa=0.0)
+        # Every rate is in units of kappa, so there is no kappa to set.
+        with pytest.raises(TypeError):
+            CavityParams(g=1.0, kappa=1.0)
 
     @pytest.mark.parametrize("fields, message", [
         ({"g": -1.0}, "g must be non-negative, got -1.0"),
         ({"g": 1.0, "kappa_s": -0.5}, "kappa_s must be non-negative, got -0.5"),
         ({"g": 1.0, "gamma": -5e-324}, "gamma must be non-negative, got -5e-324"),
-        ({"g": 1.0, "kappa": 0.0}, "kappa must be positive, got 0.0"),
-        ({"g": 1.0, "kappa": -2.0}, "kappa must be positive, got -2.0"),
+        # Finite fields whose sum overflows still reach the range checks.
+        ({"g": 1e308, "kappa_s": 1e308, "gamma": -1.0}, "gamma must be non-negative, got -1.0"),
+        ({"g": 1.7e308, "kappa_s": -1.0, "delta_c": 1.7e308}, "kappa_s must be non-negative, got -1.0"),
         # The first bad field is named.
-        ({"g": -1.0, "kappa_s": -2.0, "gamma": -3.0, "kappa": 0.0}, "g must be non-negative, got -1.0"),
+        ({"g": -1.0, "kappa_s": -2.0, "gamma": -3.0}, "g must be non-negative, got -1.0"),
         ({"g": 1.0, "kappa_s": -2.0, "gamma": -3.0}, "kappa_s must be non-negative, got -2.0"),
     ])
     def test_out_of_range_parameter_is_named(self, fields, message):
@@ -145,7 +147,7 @@ class TestCoefficients:
     def test_signed_zero_rates_are_accepted(self):
         CavityParams(g=-0.0, kappa_s=-0.0, gamma=-0.0)
 
-    @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "kappa", "delta_c", "delta_x"])
+    @pytest.mark.parametrize("name", ["g", "kappa_s", "gamma", "delta_c", "delta_x"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, name, value):
         fields = {"g": 1.0, name: value}

@@ -100,6 +100,11 @@ class TestSimulate:
         assert code == 1
         assert "control2" in err
 
+    def test_cnot_takes_no_second_control(self, capsys):
+        # A second control is refused, not dropped without a word.
+        argv = ["simulate", "cnot", "--control", "R", "--target", "L", "--control2", "L"]
+        assert run_cli(capsys, *argv) == (1, "", "error: cnot takes no --control2\n")
+
     def test_realistic_mode_survival(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -246,6 +251,11 @@ def test_singular_cavity_names_g_and_gamma(capsys, argv):
      "error: toffoli needs --control2\n"),
     (["simulate", "cnot", "--control", "bad", "--target", "R", "--mode", "realistic", "--g=-1", "--gamma", "0"],
      "error: g must be non-negative, got -1.0\n"),
+    (["simulate", "cnot", "--control", "+", "--target", "R", "--control2", "bad", "--g", "0", "--gamma", "0",
+      "--mode", "realistic"],
+     "error: cnot takes no --control2\n"),
+    (["simulate", "cnot", "--control", "+", "--target", "R", "--control2", "L", "--gamma=-1"],
+     "error: gamma must be non-negative, got -1.0\n"),
 ])
 def test_simulate_reports_a_rate_then_the_qubits_then_a_singular_cavity(capsys, argv, message):
     # The coefficients are worked out where the gate mode is built, after the

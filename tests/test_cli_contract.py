@@ -147,7 +147,7 @@ NAMES = {
     for parser in (PARSER, *PARSER.commands.values())
     for action in parser._actions
     for name in (action.dest, *action.option_strings)
-} | {"g_over_kappa", "kappa_s_over_kappa", "gamma_over_kappa", "kappa", "qubit"}
+} | {"g_over_kappa", "kappa_s_over_kappa", "gamma_over_kappa", "qubit"}
 
 
 def names_its_cause(message: str, argv: list[str]) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -26,11 +27,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincavity import circuits, cli
-from spincavity.cavity import CavityParams, InvalidCoefficientError, ScatterCoeffs, coefficients, realistic_scatter
+from spincavity.cavity import (
+    CavityParams,
+    InvalidCoefficientError,
+    ScatterCoeffs,
+    coefficients,
+    realistic_scatter,
+    table_values,
+)
 from spincavity.circuits import (
     QUBIT_L,
     QUBIT_PLUS,
@@ -104,6 +112,9 @@ def assert_agrees(gate, inputs, coeffs: ScatterCoeffs) -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(gate_inputs, resonant_params)
+# Complex inputs first: the overlaps with the ideal output conjugate its amplitudes.
+@example((Gate.CNOT, (QubitState(0.6, 0.8j), QubitState(0.8, -0.6j))), CavityParams(g=2.4, kappa_s=0.5))
+@example((Gate.TOFFOLI, (QubitState(0.28j, 0.96), QUBIT_R, QubitState(0.6, -0.8j))), CavityParams(g=2.4, kappa_s=0.5))
 def test_matches_dict_engine_on_resonance(gate_and_inputs, params):
     gate, inputs = gate_and_inputs
     assert_agrees(gate, inputs, coefficients(params))
@@ -166,14 +177,25 @@ def test_second_sweep_reuses_the_compilation():
         outputs=cli.ALL_OUTPUTS,
     )
     list(cli.run_sweep(spec))
-    before = _compile.cache_info(), _stack.cache_info()
+    before = _stack.cache_info()
     list(cli.run_sweep(spec))
-    after = _compile.cache_info(), _stack.cache_info()
-    assert [info.misses for info in after] == [info.misses for info in before]
+    after = _stack.cache_info()
     # One lookup of both sim gates stacked per chunk of points; the 2x2 grid
     # is one chunk, and the stack holds its compiled gates.
-    assert after[1].hits == before[1].hits + 1
-    assert after[0].hits == before[0].hits
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
+
+
+def test_one_kind_is_one_stack_entry():
+    # A one-kind batch and gate_figures on that kind share one cache entry.
+    inputs = (QubitState(0.6, 0.8), QUBIT_PLUS, QUBIT_R)
+    coeffs = coefficients(CavityParams(g=2.4, kappa_s=0.5))
+    before = _stack.cache_info()
+    ((figures,),) = stacked_figures(((Gate.TOFFOLI, inputs),), [coeffs.magnitudes])
+    assert gate_figures(Gate.TOFFOLI, list(inputs), coeffs) == figures
+    after = _stack.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,12 +223,10 @@ def compiled_at(monkeypatch, points):
     """Gates compiled meanwhile at the generic ``points``."""
     monkeypatch.setattr(circuits, "_GENERIC_POINTS", points)
     # No compile made at other generic points may serve it, nor outlive it.
-    _compile.cache_clear()
     _stack.cache_clear()
     try:
         yield
     finally:
-        _compile.cache_clear()
         _stack.cache_clear()
 
 
@@ -346,9 +366,11 @@ def test_batch_fails_with_its_first_bad_point():
     inputs = (QUBIT_PLUS, QUBIT_PLUS)
 
     def first_error(points):
-        """Evaluate ``points`` one by one and as a batch; both must fail alike."""
+        """Evaluate ``points`` as a batch. It must fail as the first invalid point
+        alone does, or failing that as evaluating the points one by one does."""
+        invalid = [point for point in points if not all(m <= 1.0 for m in point.magnitudes)]
         with pytest.raises(Exception) as one_by_one:
-            for point in points:
+            for point in invalid[:1] or points:
                 gate_figures(Gate.CNOT, inputs, point)
         with pytest.raises(type(one_by_one.value)) as batched:
             stacked_figures(((Gate.CNOT, inputs),), [point.magnitudes for point in points])
@@ -360,7 +382,11 @@ def test_batch_fails_with_its_first_bad_point():
     assert str(error) == "|r| = 1.2 exceeds 1"
     error = first_error([good, not_a_number, too_large])
     assert str(error) == "|t| = nan exceeds 1"
+    # The magnitudes of the whole batch are checked before anything is evaluated.
     error = first_error([good, detuned, too_large])
+    assert isinstance(error, InvalidCoefficientError)
+    assert str(error) == "|r| = 1.2 exceeds 1"
+    error = first_error([good, detuned, good])
     assert isinstance(error, StructureError)
     assert str(error).startswith("squared norm 1.14083090880494")
 
@@ -436,7 +462,8 @@ def test_stacked_kinds_fail_in_turn():
     toffoli_fails = ScatterCoeffs(t=0.1, r=0.1, t0=0.4, r0=0.4)
     too_large = ScatterCoeffs(t=0.0, r=1.2, t0=-1.0, r0=0.0)
     for points, error in (
-        ([toffoli_fails, cnot_fails, too_large], StructureError),
+        ([toffoli_fails, cnot_fails], StructureError),
+        ([toffoli_fails, cnot_fails, too_large], InvalidCoefficientError),
         ([toffoli_fails, too_large, cnot_fails], InvalidCoefficientError),
         ([toffoli_fails], DegenerateStateError),
     ):
@@ -450,12 +477,24 @@ def test_stacked_kinds_fail_in_turn():
 def test_no_kinds_give_no_lists():
     assert stacked_figures((), [(0.0, 1.2, 1.0, 0.0)]) == []
 
+    def unread():
+        raise AssertionError("no kinds read no points")
+        yield
+
+    # The closed-form sweep asks for no kinds at every chunk, at no cost.
+    assert stacked_figures([], unread()) == []
+
+
+def test_no_points_give_empty_lists():
+    kinds = ((Gate.CNOT, (QUBIT_PLUS,) * 2), (Gate.TOFFOLI, (QUBIT_PLUS,) * 3))
+    assert stacked_figures(kinds, iter(())) == [[], []]
+
 
 def generic_totals(gate, inputs):
     """Compile afresh; the rows, and every total at both generic points."""
-    compiled = _compile.__wrapped__(gate, inputs)
-    magnitudes = np.array([c.magnitudes for c in _GENERIC_POINTS]).T
-    return len(compiled.coeffs), compiled.totals @ np.abs(compiled.amplitudes(magnitudes)) ** 2
+    compiled = _compile(gate, inputs)
+    values = np.array([table_values(c.magnitudes) for c in _GENERIC_POINTS]).T
+    return len(compiled.coeffs), compiled.totals @ np.abs(compiled.amplitudes(values)) ** 2
 
 
 def assert_folding_keeps_the_totals(gate, inputs):
@@ -522,3 +561,18 @@ def test_compiled_matrices_do_not_depend_on_the_blas_kernel():
         run = subprocess.run([sys.executable, "-c", COMPILED_HASH], env=env, capture_output=True, text=True, check=True)
         hashes[kernel or "default"] = run.stdout.strip()
     assert len(set(hashes.values())) == 1, hashes
+
+
+#: sha256 of the stacked ``coeffs`` and ``totals`` of the simulated sweep's
+#: kinds, the CNOT on (+, +) and the Toffoli on (+, +, +). The compile sums
+#: element-wise only, so the bytes hold under every BLAS kernel.
+SWEEP_STACK_SHA256 = "6c5e0322d01a00e5ec9babe27a787b4f7dc978676c9b876e33f81f3220a46a7f"
+
+
+def test_sweep_stack_is_pinned():
+    compiled = _stack(((Gate.CNOT, (QUBIT_PLUS,) * 2), (Gate.TOFFOLI, (QUBIT_PLUS,) * 3)))
+    assert compiled.coeffs.shape == (78, 210)
+    assert compiled.blocks == (7, 11)
+    assert compiled.totals.shape == (18, 78)
+    digest = hashlib.sha256(compiled.coeffs.tobytes() + compiled.totals.tobytes()).hexdigest()
+    assert digest == SWEEP_STACK_SHA256

@@ -82,7 +82,7 @@ def test_closed_form_fields_hash():
     line = ",".join(["%.17g"] * len(GateFigures._fields)) + "\n"
     text = "".join(
         line % magnitude_figures(*magnitudes)
-        for magnitudes in resonant_magnitudes(*points, 0.1, 1.0)
+        for magnitudes in resonant_magnitudes(*points, 0.1)
     )
     assert len(text) == 6284592
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
