@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .hilbert import Polarization, Propagation, SpinBasis, StateError
 
@@ -134,29 +134,6 @@ def coefficients(params: CavityParams) -> ScatterCoeffs:
     return ScatterCoeffs(t, 1.0 + t, t0, 1.0 + t0)
 
 
-def resonant_magnitudes(
-    gs: Iterable[float], kappa_s_values: Iterable[float], gamma: float
-) -> Iterator[tuple[float, float, float, float]]:
-    """(|t|, |r|, |t0|, |r0|) of :func:`coefficients` at zero detuning, at each
-    point of ``gs`` x ``kappa_s_values``, row-major, as the same doubles.
-
-    For rates a :class:`CavityParams` has accepted: nothing is validated
-    again. The cold pair and dipole * cavity_term are worked out once per
-    kappa_s, g ** 2 once per g, so a point pays only for its hot transmission.
-    """
-    dipole = gamma / 2.0
-    columns = []
-    for kappa_s in kappa_s_values:
-        dipole_ct, t0 = _cold_terms(dipole, 1.0 + kappa_s / 2.0)
-        columns.append((dipole_ct, abs(t0), abs(1.0 + t0)))
-    minus_dipole = -1.0 * dipole
-    for g in gs:
-        g_squared = _squared(g)
-        for dipole_ct, at0, ar0 in columns:
-            t = _hot_transmission(minus_dipole, dipole_ct, g_squared)
-            yield abs(t), abs(1.0 + t), at0, ar0
-
-
 def _squared(g):
     try:
         return g ** 2
@@ -167,19 +144,22 @@ def _squared(g):
 def _cold_terms(dipole, cavity_term):
     """(dipole * cavity_term, t0): the terms that do not depend on g."""
     if abs(cavity_term) < _SINGULAR_EPS:
-        raise SingularParameterError(
-            f"cold-cavity denominator magnitude {abs(cavity_term)} below {_SINGULAR_EPS}"
-        )
+        raise _singular("cold", cavity_term)
     return dipole * cavity_term, -1.0 / cavity_term
 
 
 def _hot_transmission(minus_dipole, dipole_ct, g_squared):
     denominator = dipole_ct + g_squared
     if abs(denominator) < _SINGULAR_EPS:
-        raise SingularParameterError(
-            f"hot-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
-        )
+        raise _singular("hot", denominator)
     return minus_dipole / denominator
+
+
+def _singular(cavity: str, denominator) -> SingularParameterError:
+    """The error for a ``cavity`` ("hot" or "cold") denominator below the threshold."""
+    return SingularParameterError(
+        f"{cavity}-cavity denominator magnitude {abs(denominator)} below {_SINGULAR_EPS}"
+    )
 
 
 def _couples(polarization: Polarization, propagation: Propagation, spin: SpinBasis) -> bool:

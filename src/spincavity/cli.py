@@ -18,11 +18,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TextIO
 
-from .cavity import CavityParams, SingularParameterError, coefficients, resonant_magnitudes
+from .cavity import CavityParams, SingularParameterError, coefficients
 from .circuits import (
     FIDELITY_CONVENTIONS,
     Gate,
@@ -43,7 +43,7 @@ from .metrics import (
     DecoherenceParams,
     GateFigures,
     exciton_dephasing_factor,
-    magnitude_figures,
+    resonant_figures,
     spin_decoherence_factor,
     trion_density_matrix,
 )
@@ -93,6 +93,10 @@ class SweepRange:
         ]
 
 
+#: The decoherence time scales of a spec built without them: one shared
+#: instance, as the class is frozen.
+_DEFAULT_DECOHERENCE = DecoherenceParams()
+
 #: Most grid points a sweep may hold, checked before any point is built: some
 #: 4 s of closed-form rows, all of which a sweep keeps before it writes.
 MAX_GRID_POINTS = 10**6
@@ -113,7 +117,7 @@ class SweepSpec:
     outputs: tuple[str, ...] = CLOSED_FORM_OUTPUTS
     sim_convention: str = "per-branch-averaged"
     decohere: tuple[str, ...] = ()
-    decoherence: DecoherenceParams = field(default_factory=DecoherenceParams)
+    decoherence: DecoherenceParams = _DEFAULT_DECOHERENCE
 
     def validate(self) -> None:
         self.g_over_kappa.validate("g_over_kappa")
@@ -174,51 +178,51 @@ def run_sweep(spec: SweepSpec) -> Iterator[tuple[float, float, tuple[float, ...]
     params = CavityParams(g=0.0, gamma=spec.gamma_over_kappa)
     gamma = params.gamma
     sim_gates = [column for column in _SIM_COLUMNS if {column[2], column[3]} & set(spec.outputs)]
-    # A point's record is its GateFigures fields followed by (fidelity, survival)
-    # of each simulated gate; a row picks its values from it in output order.
-    index = {name: i for i, name in enumerate(GateFigures._fields)}
-    for _, _, f_name, eta_name in sim_gates:
-        index[f_name], index[eta_name] = len(index), len(index) + 1
+    # A point's record is (|t|, |r|, |t0|, |r0|), its GateFigures fields, then
+    # (fidelity, survival) of each simulated gate; a row picks its values from
+    # it in output order.
+    fields = GateFigures._fields + tuple(name for column in sim_gates for name in column[2:])
+    index = {name: i for i, name in enumerate(fields, 4)}
     columns = [index[name] for name in spec.outputs]
     pick = itemgetter(*columns) if len(columns) > 1 else lambda record: (record[columns[0]],)
     fidelity_scale = _fidelity_multiplier(spec)
-    scales = [fidelity_scale if name in FIDELITY_OUTPUTS else 1.0 for name in spec.outputs]
+    if fidelity_scale != 1.0:  # x * 1.0 is x, bit for bit
+        scales = [fidelity_scale if name in FIDELITY_OUTPUTS else 1.0 for name in spec.outputs]
+        unscaled = pick
+        # From a list, not a generator: tuple() of a generator resizes its
+        # result, which parks it on another size's free list.
+        pick = lambda record: tuple([value * scale for value, scale in zip(unscaled(record), scales)])
     g_points, kappa_s_points = spec.g_over_kappa.points(), spec.kappa_s_over_kappa.points()
-    grid = itertools.product(g_points, kappa_s_points)
-    magnitudes = resonant_magnitudes(g_points, kappa_s_points, gamma)
+    points = zip(itertools.product(g_points, kappa_s_points), resonant_figures(g_points, kappa_s_points, gamma))
     # A chunk's closed forms run before its gates. Resonant coefficients fail
     # a gate only by zero survival (the Toffoli at g = 0, kappa_s = 2), which
     # names the grid's first such point.
     kinds = [column[:2] for column in sim_gates]
-    while chunk := list(itertools.islice(grid, SWEEP_CHUNK)):
+    while True:
         try:
-            chunk_magnitudes = list(itertools.islice(magnitudes, len(chunk)))
+            chunk = list(itertools.islice(points, SWEEP_CHUNK))
         except SingularParameterError as exc:
             # The hot-cavity denominator grows with g and kappa_s: the first point fails first.
             g_min = spec.g_over_kappa.minimum
             raise ConfigError(f"g_over_kappa = {g_min} with gamma_over_kappa = {gamma}: {exc}") from None
-        records = [magnitude_figures(*point) for point in chunk_magnitudes]
-        try:
-            stacked = stacked_figures(kinds, chunk_magnitudes)
+        if not chunk:
+            return
+        try:  # with no kinds, the records are not read
+            stacked = stacked_figures(kinds, (record[:4] for _, record in chunk))
         except DegenerateStateError as exc:
-            for (g, ks), point in zip(chunk, chunk_magnitudes):
+            for (g, ks), record in chunk:
                 try:
-                    stacked_figures(kinds, [point])
+                    stacked_figures(kinds, [record[:4]])
                 except DegenerateStateError:
                     raise ConfigError(f"g_over_kappa = {g} with kappa_s_over_kappa = {ks}: {exc}") from None
             raise
         for simulated in stacked:
-            records = [
-                record + (figures.fidelity(spec.sim_convention), figures.survival)
-                for record, figures in zip(records, simulated)
+            chunk = [
+                (point, record + (figures.fidelity(spec.sim_convention), figures.survival))
+                for (point, record), figures in zip(chunk, simulated)
             ]
-        for (g, ks), record in zip(chunk, records):
-            values = pick(record)
-            if fidelity_scale != 1.0:  # x * 1.0 is x, bit for bit
-                # From a list, not a generator: tuple() of a generator resizes
-                # its result, which parks it on another size's free list.
-                values = tuple([value * scale for value, scale in zip(values, scales)])
-            yield g, ks, values
+        for (g, ks), record in chunk:
+            yield g, ks, pick(record)
 
 
 #: Rows formatted by one ``%`` and written by one ``write``: about 30 KB of
@@ -601,25 +605,32 @@ def _parse_canonical(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one pass over a named command's flags.
+    """``build_parser().parse_args(_attach_dash_values(argv))``, with one pass over a
+    named command's flags.
 
     A canonical argv is read straight from the actions (``_parse_canonical``).
-    Otherwise the top-level parser hands a command's tokens to that command's
-    parser, so calling it directly gives the same namespace, errors and help.
-    The top-level parser runs only to report no command, an unknown one, or
-    its own help.
+    It never holds a flag followed by a dash-led token, so attaching would
+    leave it as it is: dash-led values are attached only once that read
+    declines, and the attached argv is read again. Otherwise the top-level
+    parser hands a command's tokens to that command's parser, so calling it
+    directly gives the same namespace, errors and help. The top-level parser
+    runs only to report no command, an unknown one, or its own help.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return _parse_canonical(argv) or command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    namespace = _parse_canonical(argv)
+    if namespace is None:
+        argv = _attach_dash_values(argv)
+        namespace = _parse_canonical(argv) or command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return namespace
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(_attach_dash_values(_expand_config(argv)))
+        args = _parse_args(_expand_config(argv))
         out_path = getattr(args, "out", None)
         if not out_path:
             code = _COMMANDS[args.command](args, sys.stdout)

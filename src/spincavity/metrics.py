@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cavity import ScatterCoeffs, require_finite
+from .cavity import _SINGULAR_EPS, ScatterCoeffs, _cold_terms, _singular, _squared, require_finite
 
 #: Documented operating constants for the decoherence report, in nanoseconds.
 #: Spin coherence of a few microseconds is routinely held with spin-echo
@@ -109,6 +109,60 @@ def magnitude_figures(at: float, ar: float, at0: float, ar0: float) -> tuple[flo
     eta_toffoli = (1.0 + 1.25 * zeta + zeta ** 4 / 32.0) / 4.0
 
     return f_cnot, f_toffoli, eta_cnot, eta_toffoli, zeta, xi1, xi2, xi3
+
+
+def resonant_figures(
+    gs: Iterable[float], kappa_s_values: Iterable[float], gamma: float
+) -> Iterator[tuple[float, ...]]:
+    """Each point of ``gs`` x ``kappa_s_values``, row-major, at zero detuning:
+    (|t|, |r|, |t0|, |r0|) of :func:`coefficients`, then the
+    :class:`GateFigures` fields of :func:`magnitude_figures`, as the same doubles.
+
+    For rates a :class:`CavityParams` has accepted: nothing is validated
+    again. Once per kappa_s column it works out the cold terms and the
+    closed forms' column-only subexpressions, ``at0 - ar0``, ``ar0 * d0``,
+    ``4.0 * at0``, ``4.0 * d0`` and ``at0 ** 2 + ar0 ** 2``; once per g row,
+    ``g ** 2``. Each hoisted term is a left operand, since zeta adds and the
+    products multiply left to right, so every operation keeps its operands
+    and order and the results do not change. A point pays for its hot
+    transmission, with its singular check, and the rest of the closed forms.
+    """
+    dipole = gamma / 2.0
+    columns = []
+    for kappa_s in kappa_s_values:
+        dipole_ct, t0 = _cold_terms(dipole, 1.0 + kappa_s / 2.0)
+        at0, ar0 = abs(t0), abs(1.0 + t0)
+        d0 = at0 - ar0
+        columns.append((dipole_ct, at0, ar0, d0, ar0 * d0, 4.0 * at0, 4.0 * d0, at0 ** 2 + ar0 ** 2))
+    minus_dipole, eps = -1.0 * dipole, _SINGULAR_EPS
+    for g in gs:
+        g_squared = _squared(g)
+        for dipole_ct, at0, ar0, d0, ar0_d0, four_at0, four_d0, zeta0 in columns:
+            # Accepted rates make every term non-negative (or -0.0), so the
+            # denominator needs no abs, and t lies in [-1, 0], a zero of
+            # either sign included: 0.0 - t and 1.0 + t are |t| and |1 + t|
+            # bit for bit, without two calls.
+            denominator = dipole_ct + g_squared
+            if denominator < eps:
+                raise _singular("hot", denominator)
+            t = minus_dipole / denominator
+            at, ar = 0.0 - t, 1.0 + t
+            d = ar - at
+            plus_squared = (d0 + ar - at) ** 2
+            minus_squared = (d0 - ar + at) ** 2
+            xi1 = (d0 - at + ar) * (ar0_d0 * plus_squared + ar0 * d * minus_squared + four_at0 * d + four_d0)
+            xi2 = ar * d0 * minus_squared + ar * d * plus_squared + 4.0 * at * d0 + 4.0 * d
+            xi3 = ar0 * plus_squared * minus_squared
+            zeta = zeta0 + at ** 2 + ar ** 2
+            zeta_term = 1.25 * zeta
+            yield (
+                at, ar, at0, ar0,
+                ((at0 + ar) / 2.0) ** 2,
+                ((xi1 + 2.0 * xi2 - xi3) / 32.0) ** 2,
+                (0.5 + zeta_term) / 3.0,
+                (1.0 + zeta_term + zeta ** 4 / 32.0) / 4.0,
+                zeta, xi1, xi2, xi3,
+            )
 
 
 def spin_decoherence_factor(params: DecoherenceParams) -> float:

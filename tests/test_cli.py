@@ -465,7 +465,9 @@ def test_one_parse_matches_the_top_level_parse(monkeypatch, tmp_path):
     codes = []
     for argv in one_parse_corpus(tmp_path):
         once = run_parsed(monkeypatch, one_parse, argv, tmp_path)
-        twice = run_parsed(monkeypatch, lambda tokens: cli.build_parser().parse_args(tokens), argv, tmp_path)
+        twice = run_parsed(
+            monkeypatch, lambda tokens: cli.build_parser().parse_args(cli._attach_dash_values(tokens)), argv, tmp_path
+        )
         assert once == twice, argv
         codes.append(once[0])
     assert codes.count(0) == 20 and codes.count(1) == 16 and codes.count(("exit", 0)) == 4
@@ -542,6 +544,13 @@ class TestSweep:
             coefficients(CavityParams(g=2.4, kappa_s=0.5, gamma=0.1))
         ).f_cnot
         assert float(rows[3][2]) == expected
+
+    def test_default_specs_share_one_decoherence(self):
+        from spincavity.metrics import DecoherenceParams
+
+        first, second = (SweepSpec(SweepRange(0.0, 1.0, 2), SweepRange(0.0, 1.0, 2)) for _ in range(2))
+        assert first.decoherence is second.decoherence
+        assert first.decoherence == DecoherenceParams()
 
     def test_round_trip_full_precision(self):
         spec = SweepSpec(

@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR
 from spincavity import cli
-from spincavity.cavity import CavityParams, SingularParameterError, coefficients, resonant_magnitudes
+from spincavity.cavity import CavityParams, SingularParameterError, coefficients
 from spincavity.circuits import QUBIT_PLUS, Gate, gate_figures
 from spincavity.hilbert import DegenerateStateError
-from spincavity.metrics import GateFigures, closed_form_figures, magnitude_figures
+from spincavity.metrics import GateFigures, closed_form_figures, magnitude_figures, resonant_figures
 
 
 def run_main(argv):
@@ -69,25 +69,36 @@ def test_sweep_csv_hash(name):
 
 def test_closed_form_fields_hash():
     """Every ``GateFigures`` field, zeta and the xi included, on the 200x200 default-range grid,
-    through the magnitudes kernel the sweep calls.
+    through the generator the sweep reads.
 
     The CSV prints four of the eight fields; this sees the other four too.
-    ``magnitude_figures`` names each repeated square once, so it holds eight
-    ``** 2``. Rewriting one of them as ``x * x`` changes this hash for six,
-    the shared square of ``(at0 - ar0 - ar + at)`` among them (it also feeds
-    xi3). The other two, ``at0 ** 2`` and ``ar0 ** 2`` in zeta, round to the
-    same doubles at every point of this grid and are invisible here.
+    ``resonant_figures`` names each repeated square once, so it holds eight
+    ``** 2`` per point or column. Rewriting one of them as ``x * x`` changes
+    this hash for six, the shared square of ``(at0 - ar0 - ar + at)`` among
+    them (it also feeds xi3). The other two, ``at0 ** 2`` and ``ar0 ** 2`` in
+    zeta, round to the same doubles at every point of this grid and are
+    invisible here.
     """
     points = cli.SweepRange(0.0, 5.0, 200).points(), cli.SweepRange(0.0, 1.0, 200).points()
     line = ",".join(["%.17g"] * len(GateFigures._fields)) + "\n"
-    text = "".join(
-        line % magnitude_figures(*magnitudes)
-        for magnitudes in resonant_magnitudes(*points, 0.1)
-    )
+    text = "".join(line % record[4:] for record in resonant_figures(*points, 0.1))
     assert len(text) == 6284592
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "ff58f2f84e268966d120a7b842a3ae19d5e7c5e15a05eed268d774b76f09585e"
     )
+
+
+@pytest.mark.parametrize("gamma", [0.1, 3.0, 0.0, -0.0])
+def test_records_are_the_coefficient_magnitudes_and_their_figures(gamma):
+    """Each record is (|t|, |r|, |t0|, |r0|) of ``coefficients`` and then
+    ``magnitude_figures`` of them, bit for bit, signed zeros included."""
+    gs, kappa_s_values = [1e-7, -0.0 if gamma else 0.5, 2.4, 100.0], [-0.0, 0.0, 0.5, 100.0]
+    records = list(resonant_figures(gs, kappa_s_values, gamma))
+    assert len(records) == len(gs) * len(kappa_s_values)
+    for (g, ks), record in zip(itertools.product(gs, kappa_s_values), records):
+        magnitudes = coefficients(CavityParams(g=g, kappa_s=ks, gamma=gamma)).magnitudes
+        want = (*magnitudes, *magnitude_figures(*magnitudes))
+        assert [value.hex() for value in record] == [value.hex() for value in want]
 
 
 @st.composite
@@ -212,6 +223,23 @@ def test_simulated_sweep_matches_golden():
     code, out, err = run_main(SIMULATED)
     assert (code, err) == (0, "")
     assert_matches_simulated_golden(out)
+
+
+def test_closed_form_cells_hold_in_simulated_chunks():
+    """A 7x5 grid with all eight columns: its chunks of ``SWEEP_CHUNK`` points
+    split kappa_s rows and end short, and every grid and closed-form cell is
+    the closed-form-only sweep's, byte for byte."""
+    grid = ["--g-min", "0.3", "--g-max", "4.1", "--g-steps", "7", "--ks-min", "0.05", "--ks-max", "0.95",
+            "--ks-steps", "5", "--gamma", "0.25", "--decohere", "spin"]
+    assert 7 * 5 % cli.SWEEP_CHUNK and cli.SWEEP_CHUNK % 5
+    code, closed, err = run_main(["sweep", *grid])
+    assert (code, err) == (0, "")
+    code, everything, err = run_main(["sweep", *grid, "--outputs", ",".join(cli.ALL_OUTPUTS)])
+    assert (code, err) == (0, "")
+    width = 2 + len(cli.CLOSED_FORM_OUTPUTS)
+    kept = [",".join(line.split(",")[:width]) for line in everything.splitlines()]
+    assert len(kept) == 1 + 7 * 5
+    assert kept == closed.splitlines()
 
 
 def test_signed_zero_coordinates_format_apart():
